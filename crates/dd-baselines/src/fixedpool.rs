@@ -26,31 +26,6 @@ pub struct FixedPoolScheduler {
 }
 
 impl FixedPoolScheduler {
-    /// A fixed pool of `pool_size` instances, split by the workflow's
-    /// historic high-end-friendly fraction.
-    ///
-    /// Pre-registry constructor, kept for one release as a back-compat
-    /// shim; select the policy by name instead.
-    #[deprecated(
-        note = "select \"fixed-pool\" through dd_baselines::registry() and build via SchedulerPolicy"
-    )]
-    // dd-lint: allow(policy-api): deprecated back-compat shim over the policy registry, kept for one release
-    pub fn new(pool_size: u32, history: &DayDreamHistory) -> Self {
-        Self::build(pool_size, history)
-    }
-
-    /// Sizes the pool as `multiple ×` the historic mean concurrency.
-    ///
-    /// Pre-registry constructor, kept for one release as a back-compat
-    /// shim; select the policy by name instead.
-    #[deprecated(
-        note = "select \"fixed-pool\" through dd_baselines::registry() and build via SchedulerPolicy"
-    )]
-    // dd-lint: allow(policy-api): deprecated back-compat shim over the policy registry, kept for one release
-    pub fn from_mean_multiple(multiple: f64, history: &DayDreamHistory) -> Self {
-        Self::build_from_mean_multiple(multiple, history)
-    }
-
     /// Crate-internal constructor the registry's
     /// [`crate::FixedPoolPolicy`] builds through.
     pub(crate) fn build(pool_size: u32, history: &DayDreamHistory) -> Self {

@@ -15,37 +15,6 @@ use dd_wfdag::{LanguageRuntime, WorkflowRun};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pegasus;
 
-impl Pegasus {
-    /// Executes a run on a max-phase-concurrency HPC cluster (AWS).
-    ///
-    /// Pre-registry entry point, kept for one release as a back-compat
-    /// shim; select the policy by name instead.
-    #[deprecated(
-        note = "select \"pegasus\" through dd_baselines::registry() and run via ClusterPolicy"
-    )]
-    // dd-lint: allow(policy-api): deprecated back-compat shim over the ClusterPolicy trait, kept for one release
-    pub fn execute(&self, run: &WorkflowRun, runtimes: &[LanguageRuntime]) -> RunOutcome {
-        ClusterPolicy::execute(self, run, runtimes, CloudVendor::Aws)
-    }
-
-    /// Executes on a specific cloud vendor's nodes (Fig. 18).
-    ///
-    /// Pre-registry entry point, kept for one release as a back-compat
-    /// shim; select the policy by name instead.
-    #[deprecated(
-        note = "select \"pegasus\" through dd_baselines::registry() and run via ClusterPolicy"
-    )]
-    // dd-lint: allow(policy-api): deprecated back-compat shim over the ClusterPolicy trait, kept for one release
-    pub fn execute_on(
-        &self,
-        run: &WorkflowRun,
-        runtimes: &[LanguageRuntime],
-        vendor: CloudVendor,
-    ) -> RunOutcome {
-        ClusterPolicy::execute(self, run, runtimes, vendor)
-    }
-}
-
 impl ClusterPolicy for Pegasus {
     fn name(&self) -> &'static str {
         "pegasus"

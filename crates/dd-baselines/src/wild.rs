@@ -130,18 +130,6 @@ impl Default for WildScheduler {
 }
 
 impl WildScheduler {
-    /// Creates a Wild scheduler with the ARIMA(3,1,1) forecaster.
-    ///
-    /// Pre-registry constructor, kept for one release as a back-compat
-    /// shim; select the policy by name instead.
-    #[deprecated(
-        note = "select \"wild\" through dd_baselines::registry() and build via SchedulerPolicy"
-    )]
-    // dd-lint: allow(policy-api): deprecated back-compat shim over the policy registry, kept for one release
-    pub fn new() -> Self {
-        Self::build()
-    }
-
     /// Crate-internal constructor the registry's [`crate::WildPolicy`]
     /// builds through.
     pub(crate) fn build() -> Self {

@@ -3,9 +3,8 @@
 //! Both executors ([`crate::faas::FaasExecutor`] analytic,
 //! [`crate::faas_des::DesFaasExecutor`] event-driven) implement the one
 //! [`Executor`] trait; callers build a [`RunRequest`] and get back a
-//! [`RunReport`]. The legacy `execute` / `execute_traced` /
-//! `execute_with` entry points survive as deprecated shims over this
-//! trait (and dd-lint's `executor-api` rule blocks adding new ones).
+//! [`RunReport`]. dd-lint's `executor-api` rule blocks adding other
+//! `execute*` entry points.
 //!
 //! The request is passed **by value**, not by reference: it carries the
 //! `&mut` scheduler and recorder borrows for the duration of the run, so
@@ -15,8 +14,8 @@
 //!
 //! When a [`Recorder`] is attached, both executors emit the identical
 //! event stream (the obs determinism tests compare exports byte for
-//! byte). The order is the DES wall-stream order, which the analytic
-//! executor reproduces explicitly:
+//! byte). Every emission below happens in the shared `kernel` module,
+//! so the order holds for both executors by construction:
 //!
 //! 1. run start: scheduler events from `initial_pool`, then the phase-0
 //!    `pool_preboot` span at t = 0;

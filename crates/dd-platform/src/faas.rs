@@ -14,25 +14,17 @@
 //!    terminated at placement time (Algorithm 1 line 11) and the next
 //!    phase starts.
 //!
-//! Timing within a phase is computed analytically (component finish times
-//! are known at start since microVMs don't preempt each other), which
-//! makes the executor exact and fast; the half-phase trigger and pool
-//! readiness interactions across phases are where the actual scheduling
-//! dynamics live.
+//! Placement, dispatch and the phase books are the shared
+//! `kernel` module. This executor only advances time, analytically:
+//! microVMs don't preempt each other, so finish times are known at
+//! dispatch and each phase's notifications are order statistics of them.
 
 use crate::des::SimTime;
-use crate::executor::{self as obs, ComponentObs, Executor, RunReport, RunRequest};
-use crate::faults::{FaultConfig, FaultPlan, FaultStats, RecoveryPolicy};
-use crate::pool::{InstanceId, PoolRequest, PooledInstance};
+use crate::executor::{Executor, RunReport, RunRequest};
+use crate::faults::{FaultConfig, RecoveryPolicy};
+use crate::kernel::{self, Scratch};
 use crate::pricing::{CloudVendor, PriceSheet};
-use crate::sched::{observe_phase, RunInfo, ServerlessScheduler, StartKind};
 use crate::startup::StartupModel;
-use crate::storage::BackendStore;
-use crate::telemetry::{CostLedger, PhaseRecord, RunOutcome, Utilization};
-use crate::tier::Tier;
-use crate::trace::{AttemptTrace, ComponentTrace, ExecutionTrace, PoolTrace};
-use dd_obs::{NoopRecorder, Recorder};
-use dd_wfdag::{LanguageRuntime, WorkflowRun};
 use serde::{Deserialize, Serialize};
 
 /// When the next phase's pool request is issued.
@@ -132,485 +124,30 @@ impl FaasExecutor {
     pub fn config(&self) -> &FaasConfig {
         &self.config
     }
-
-    /// Deprecated shim over [`Executor::run`].
-    #[deprecated(note = "build a RunRequest and call Executor::run instead")]
-    // dd-lint: allow(executor-api): deprecated back-compat shim over Executor::run, kept for one release
-    pub fn execute(
-        &self,
-        run: &WorkflowRun,
-        runtimes: &[LanguageRuntime],
-        scheduler: &mut dyn ServerlessScheduler,
-    ) -> RunOutcome {
-        self.serve(RunRequest::new(run, runtimes, scheduler))
-            .into_outcome()
-    }
-
-    /// Deprecated shim over [`Executor::run`] with
-    /// [`RunRequest::traced`].
-    #[deprecated(note = "build a RunRequest::traced and call Executor::run instead")]
-    // dd-lint: allow(executor-api): deprecated back-compat shim over Executor::run, kept for one release
-    pub fn execute_traced(
-        &self,
-        run: &WorkflowRun,
-        runtimes: &[LanguageRuntime],
-        scheduler: &mut dyn ServerlessScheduler,
-    ) -> (RunOutcome, ExecutionTrace) {
-        self.serve(RunRequest::new(run, runtimes, scheduler).traced())
-            .into_traced()
-    }
-
-    /// Executes a [`RunRequest`] — the single entry point behind both
-    /// the [`Executor`] impl and the deprecated shims.
-    ///
-    /// `runtimes` is the DAG's language-runtime set (pre-loaded into
-    /// every hot instance, per the hot-start mechanism).
-    ///
-    /// # Panics
-    /// Panics if the scheduler returns malformed placements: wrong count,
-    /// an unknown or reused instance id, or a warm instance paired with a
-    /// different component type.
-    pub(crate) fn serve(&self, req: RunRequest<'_>) -> RunReport {
-        let RunRequest {
-            run,
-            runtimes,
-            scheduler,
-            recorder,
-            collect_trace,
-            faults: fault_override,
-        } = req;
-        let mut noop = NoopRecorder;
-        let rec: &mut dyn Recorder = match recorder {
-            Some(r) => r,
-            None => &mut noop,
-        };
-        let recording = rec.enabled();
-        if recording {
-            obs::declare_metrics(rec);
-        }
-        scheduler.set_event_recording(recording);
-        let mut trace = collect_trace.then(ExecutionTrace::default);
-        let mut ledger = CostLedger::default();
-        let mut utilization = Utilization::default();
-        let mut store = BackendStore::new();
-        let mut records = Vec::with_capacity(run.phases.len());
-        let mut now = SimTime::ZERO;
-        let mut next_instance_id = 0u64;
-        // One fault plan per run: the run index is mixed into the seed so
-        // different runs of a sweep see different fault placements (the
-        // old straggler injection hardcoded seed 0 here). A request-level
-        // override replaces the configured plan wholesale.
-        let (fault_cfg, recovery) =
-            fault_override.unwrap_or((self.config.faults, self.config.recovery));
-        let faults = fault_cfg.absorbing_startup(&self.startup);
-        let plan = FaultPlan::for_run(faults, recovery, run.label.run_index as u64);
-        let mut fault_stats = FaultStats::default();
-        // Storage hints are sampled once per run; zero fractions keep the
-        // arithmetic below byte-identical to the hint-less path.
-        let hints = scheduler.storage_hints().clamped();
-
-        let info = RunInfo {
-            workflow: run.label.workflow,
-            runtimes: runtimes.to_vec(),
-            phase_count: run.phases.len(),
-        };
-
-        // Pool for phase 0, requested before the run starts.
-        let mut pool = self.spawn_pool(
-            scheduler.initial_pool(&info),
-            now,
-            runtimes,
-            &mut next_instance_id,
-        );
-        if recording {
-            obs::emit_sched_events(rec, now, scheduler);
-            obs::emit_pool(rec, 0, now, &pool);
-        }
-
-        for (phase_idx, phase) in run.phases.iter().enumerate() {
-            // Scheduling decision overhead (Sec. V "Overhead").
-            let decided_at = now;
-            now = now.after(scheduler.overhead_secs());
-            let phase_started_at = now;
-            store.begin_phase(phase_idx, phase.components.len());
-            if let Some(t) = trace.as_mut() {
-                t.phase_starts.push(now);
-            }
-
-            let views: Vec<_> = pool.iter().map(Into::into).collect();
-            let placements = scheduler.place(phase, &views, now);
-            if recording {
-                obs::emit_place(
-                    rec,
-                    phase_idx,
-                    decided_at,
-                    scheduler.overhead_secs(),
-                    phase.components.len(),
-                );
-                obs::emit_sched_events(rec, now, scheduler);
-            }
-            assert_eq!(
-                placements.len(),
-                phase.components.len(),
-                "scheduler '{}' returned {} placements for {} components",
-                scheduler.name(),
-                placements.len(),
-                phase.components.len()
-            );
-
-            let mut used = vec![false; pool.len()];
-            // Per-phase cost/fault attribution: snapshot the accumulating
-            // run-level books and record the growth, so the run totals
-            // keep their original float-addition order.
-            let ledger_mark = ledger;
-            let faults_mark = fault_stats;
-            let mut overhead_sum = 0.0;
-            let mut warm_starts = 0u32;
-            let mut hot_starts = 0u32;
-            let mut cold_starts = 0u32;
-            let mut phase_retried = 0u32;
-            // Execution slots: at most `invocation_limit` concurrently
-            // running instances; components beyond it wait for the
-            // earliest finish (wave scheduling, in placement order).
-            let mut slots: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>> =
-                std::collections::BinaryHeap::new();
-
-            for (slot, (component, placement)) in
-                phase.components.iter().zip(&placements).enumerate()
-            {
-                let mut pool_slot = None;
-                let (tier, kind, start, overhead) = match placement.instance {
-                    Some(id) => {
-                        let slot = crate::pool::resolve_slot(&pool, id);
-                        pool_slot = Some(slot);
-                        assert!(!used[slot], "instance {id} placed twice");
-                        used[slot] = true;
-                        let inst = &pool[slot];
-                        let kind = match inst.preload {
-                            None => StartKind::Hot,
-                            Some(ty) if ty == component.type_id => StartKind::Warm,
-                            Some(other) => panic!(
-                                "warm instance {id} preloaded with {other} used for {}",
-                                component.type_id
-                            ),
-                        };
-                        let start = now.max(inst.ready_at);
-                        let overhead = match kind {
-                            StartKind::Warm => {
-                                self.startup.warm_overhead_secs(component, inst.tier)
-                            }
-                            StartKind::Hot => self.startup.hot_overhead_secs(component, inst.tier),
-                            // A pooled instance is always hot or warm by
-                            // construction (kind derives from `preload`
-                            // just above); if a future fault path ever
-                            // downgrades one, fall back to the cold
-                            // overhead instead of panicking mid-run.
-                            StartKind::Cold => {
-                                dd_debug_invariant!(
-                                    false,
-                                    "pooled instance {id} resolved to a cold start"
-                                );
-                                self.startup
-                                    .cold_overhead_secs(component, inst.tier, runtimes)
-                            }
-                        };
-                        (inst.tier, kind, start, overhead)
-                    }
-                    None => {
-                        let tier = placement.tier;
-                        let overhead = self.startup.cold_overhead_secs(component, tier, runtimes);
-                        (tier, StartKind::Cold, now, overhead)
-                    }
-                };
-
-                match kind {
-                    StartKind::Warm => warm_starts += 1,
-                    StartKind::Hot => hot_starts += 1,
-                    StartKind::Cold => cold_starts += 1,
-                }
-
-                // Fault engine: resolve this component's attempt timeline
-                // (stragglers, failures, retries, speculation). A strict
-                // arithmetic no-op when every rate is zero.
-                let exec = tier.exec_secs(component)
-                    * self.startup.exec_multiplier(kind == StartKind::Cold);
-                let mut write = self.startup.output_write_secs(component, tier);
-                if hints.batched_write_fraction > 0.0 {
-                    // Wukong-style task clustering batches/delays
-                    // intermediate writes; the elided fraction comes off
-                    // every component's write leg.
-                    write *= 1.0 - hints.batched_write_fraction;
-                }
-                let timeline = plan.timeline(phase_idx, slot, overhead, exec, write);
-                // Drain finished executions so the heap tracks the set
-                // *currently running* instead of growing all phase long.
-                let mut heap_drains = 0u64;
-                while slots
-                    .peek()
-                    .is_some_and(|&std::cmp::Reverse(free)| free <= start)
-                {
-                    slots.pop();
-                    heap_drains += 1;
-                }
-                // Wait for an execution slot when the platform is at its
-                // concurrency limit.
-                let start = if slots.len() >= self.config.invocation_limit {
-                    let std::cmp::Reverse(free) = slots.pop().expect("non-empty at limit");
-                    start.max(free)
-                } else {
-                    start
-                };
-                // Keep-alive: from request until the component actually
-                // begins (slot waits included), at the instance's rate.
-                let mut keep_alive_secs = None;
-                if let Some(slot) = pool_slot {
-                    let inst = &pool[slot];
-                    let idle = start.since(inst.requested_at);
-                    ledger.keep_alive_used += self.pricing.cost(inst.tier, idle);
-                    utilization.record_idle(inst.tier, idle);
-                    keep_alive_secs = Some(idle);
-                }
-                let finish = start.after(timeline.completion_offset_secs);
-                dd_debug_invariant!(
-                    finish >= start,
-                    "phase {phase_idx} slot {slot}: recovery rewound completion to {finish} before start {start}"
-                );
-                slots.push(std::cmp::Reverse(finish));
-                if let Some(t) = trace.as_mut() {
-                    t.components.push(ComponentTrace {
-                        phase: phase_idx,
-                        slot,
-                        kind,
-                        tier,
-                        instance: placement.instance,
-                        start,
-                        overhead_secs: timeline.overhead_secs,
-                        exec_secs: exec,
-                        write_secs: write,
-                        attempts: timeline.attempt_count(),
-                        recovery_secs: timeline.recovery_secs,
-                    });
-                    for a in &timeline.attempts {
-                        t.attempts.push(AttemptTrace {
-                            phase: phase_idx,
-                            slot,
-                            attempt: a.index,
-                            speculative: a.speculative,
-                            fault: a.fault,
-                            outcome: a.outcome,
-                            start: start.after(a.start_offset_secs),
-                            busy_secs: a.busy_secs,
-                        });
-                    }
-                }
-                if recording {
-                    obs::emit_component(
-                        rec,
-                        &ComponentObs {
-                            phase: phase_idx,
-                            slot,
-                            kind,
-                            tier,
-                            start,
-                            timeline: &timeline,
-                            keep_alive_secs,
-                            heap_drains,
-                        },
-                    );
-                }
-                let billed = start.after(timeline.primary_busy_secs).since(start);
-                ledger.execution += self.pricing.cost(tier, billed);
-                // Instance-seconds burned on losing attempts bill to the
-                // separate retry component (billed-but-unused capacity).
-                if timeline.retry_busy_secs > 0.0 {
-                    ledger.retry += self.pricing.cost(tier, timeline.retry_busy_secs);
-                    utilization.record_idle(tier, timeline.retry_busy_secs);
-                }
-                phase_retried += u32::from(timeline.retried());
-                if !plan.is_clean() {
-                    fault_stats.absorb(&timeline);
-                }
-                overhead_sum += timeline.overhead_secs;
-
-                utilization.record_execution(
-                    tier,
-                    exec,
-                    billed,
-                    component.cpu_demand * Tier::HighEnd.vcpus(),
-                    component.mem_gb,
-                    self.startup.data_fetch_secs(component, tier) + write,
-                );
-
-                store.record_read(component.read_mb);
-                store.record_output(phase_idx, finish, component.write_mb);
-            }
-
-            // Unused pool instances are terminated now (Algorithm 1,
-            // line 11); their whole lifetime was wasted keep-alive.
-            let mut wasted = 0u32;
-            for (inst, &was_used) in pool.iter().zip(&used) {
-                if !was_used {
-                    wasted += 1;
-                    ledger.keep_alive_wasted +=
-                        self.pricing.cost(inst.tier, now.since(inst.requested_at));
-                    utilization.record_idle(inst.tier, now.since(inst.requested_at));
-                    if recording {
-                        rec.record(
-                            obs::metrics::KEEP_ALIVE_WASTED_SECS,
-                            now.since(inst.requested_at),
-                        );
-                    }
-                }
-                if let Some(t) = trace.as_mut() {
-                    t.pool.push(PoolTrace {
-                        instance: inst.id,
-                        tier: inst.tier,
-                        warm: inst.preload.is_some(),
-                        requested_at: inst.requested_at,
-                        ready_at: inst.ready_at,
-                        used: was_used,
-                        released_at: now.max(inst.ready_at),
-                    });
-                }
-            }
-
-            let notifications = store.notifications(phase_idx);
-            let mut observation = observe_phase(phase, self.config.friendly_threshold);
-            observation.retried_components = phase_retried;
-
-            // Same pool hot/cold accounting identities the DES executor
-            // checks: both models must close their books the same way.
-            dd_debug_invariant!(
-                (warm_starts + hot_starts + cold_starts) as usize == phase.components.len(),
-                "phase {phase_idx} start-kind accounting: {warm_starts}+{hot_starts}+{cold_starts} != {} components",
-                phase.components.len()
-            );
-            dd_debug_invariant!(
-                warm_starts + hot_starts + wasted == pool.len() as u32,
-                "phase {phase_idx} pool accounting: used {} + wasted {wasted} != pool {}",
-                warm_starts + hot_starts,
-                pool.len()
-            );
-
-            records.push(PhaseRecord {
-                index: phase_idx,
-                concurrency: phase.concurrency(),
-                pool_size: pool.len() as u32,
-                warm_starts,
-                hot_starts,
-                cold_starts,
-                used_instances: (warm_starts + hot_starts),
-                wasted_instances: wasted,
-                exec_secs: notifications.complete.since(now),
-                mean_start_overhead_secs: overhead_sum / phase.components.len().max(1) as f64,
-                ledger: ledger.delta_since(&ledger_mark),
-                faults: fault_stats.delta_since(&faults_mark),
-            });
-
-            // Half-phase trigger: request the next phase's pool while this
-            // phase is still running.
-            pool = if phase_idx + 1 < run.phases.len() {
-                let request = scheduler.pool_for_next_phase(phase_idx, &observation);
-                let trigger_at = match self.config.trigger {
-                    PoolTrigger::HalfPhase => notifications.half_complete,
-                    PoolTrigger::PhaseComplete => notifications.complete,
-                };
-                let next = self.spawn_pool(request, trigger_at, runtimes, &mut next_instance_id);
-                if recording {
-                    obs::emit_sched_events(rec, trigger_at, scheduler);
-                    obs::emit_pool(rec, phase_idx + 1, trigger_at, &next);
-                }
-                next
-            } else {
-                Vec::new()
-            };
-
-            scheduler.observe_phase(&observation);
-            now = notifications.complete;
-            if recording {
-                obs::emit_observe(rec, now, &observation);
-                obs::emit_sched_events(rec, now, scheduler);
-                obs::emit_phase(
-                    rec,
-                    phase_started_at,
-                    records.last().expect("phase record just pushed"),
-                );
-            }
-            if let Some(t) = trace.as_mut() {
-                t.phase_ends.push(now);
-            }
-        }
-
-        // Storage maintenance for the run's whole duration. Affinity
-        // co-location (ICPS-style hints) serves part of the traffic
-        // without touching the back end; that fraction is not billed.
-        ledger.storage = self.pricing.storage_per_sec * now.as_secs();
-        if hints.colocated_read_fraction > 0.0 {
-            ledger.storage *= 1.0 - hints.colocated_read_fraction;
-        }
-        ledger.debug_validate();
-        if recording {
-            rec.set(obs::metrics::SERVICE_TIME_SECS, now.as_secs());
-        }
-        crate::counters::add_component_starts(
-            records
-                .iter()
-                .map(|r| {
-                    u64::from(r.warm_starts) + u64::from(r.hot_starts) + u64::from(r.cold_starts)
-                })
-                .sum(),
-        );
-
-        RunReport {
-            outcome: RunOutcome {
-                scheduler: scheduler.name().to_string(),
-                service_time_secs: now.as_secs(),
-                ledger,
-                phases: records,
-                utilization,
-                faults: fault_stats,
-            },
-            trace,
-        }
-    }
-
-    /// Materializes a pool request: caps it at provisioned concurrency and
-    /// computes each instance's background-preparation completion time.
-    fn spawn_pool(
-        &self,
-        mut request: PoolRequest,
-        requested_at: SimTime,
-        runtimes: &[LanguageRuntime],
-        next_id: &mut u64,
-    ) -> Vec<PooledInstance> {
-        request
-            .entries
-            .truncate(self.config.provisioned_concurrency);
-        request
-            .entries
-            .iter()
-            .map(|entry| {
-                let prepare = match entry.preload {
-                    None => self.startup.hot_prepare_secs(runtimes),
-                    Some(_) => self.startup.warm_prepare_secs(runtimes),
-                };
-                let id = InstanceId(*next_id);
-                *next_id += 1;
-                PooledInstance {
-                    id,
-                    tier: entry.tier,
-                    preload: entry.preload,
-                    requested_at,
-                    ready_at: requested_at.after(prepare),
-                }
-            })
-            .collect()
-    }
 }
 
 impl Executor for FaasExecutor {
+    /// Runs the phases back to back. Finish times are known at dispatch,
+    /// so each phase's storage notifications are two order statistics of
+    /// them: the trigger-rank-th smallest and the largest.
     fn run(&mut self, req: RunRequest<'_>) -> RunReport {
-        self.serve(req)
+        let mut finishes = Vec::new();
+        kernel::execute(self, &mut Scratch::default(), req, |k| {
+            let mut at = SimTime::ZERO;
+            for phase in 0..k.phase_count() {
+                finishes.clear();
+                let now = k.start_phase(phase, at, |finish| finishes.push(finish));
+                let (rank, n) = (k.trigger_rank(), finishes.len());
+                // rank < n implies rank >= 1: the trigger fires before the
+                // last output, so it needs its own order statistic.
+                if rank < n {
+                    let (_, &mut trigger, _) = finishes.select_nth_unstable(rank - 1);
+                    k.outputs_in(rank, trigger);
+                }
+                at = finishes.iter().copied().fold(now, SimTime::max);
+                k.outputs_in(n, at);
+            }
+        })
     }
 }
 
@@ -618,74 +155,13 @@ impl Executor for FaasExecutor {
 #[allow(clippy::float_cmp)] // exact equality asserts bit-reproducibility, the determinism contract
 mod tests {
     use super::*;
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
-
-    /// A scheduler that cold starts everything on high-end instances.
-    struct AllCold;
-
-    impl ServerlessScheduler for AllCold {
-        fn name(&self) -> &'static str {
-            "all-cold"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn pool_for_next_phase(&mut self, _: usize, _: &PhaseObservation) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn place(&mut self, phase: &Phase, _: &[InstanceView], _: SimTime) -> Vec<Placement> {
-            phase
-                .components
-                .iter()
-                .map(|_| Placement {
-                    tier: Tier::HighEnd,
-                    instance: None,
-                })
-                .collect()
-        }
-    }
-
-    /// A scheduler that hot starts exactly the next phase's concurrency
-    /// (an oracle for pool *size*, high-end only).
-    struct PerfectHot {
-        run: WorkflowRun,
-    }
-
-    impl ServerlessScheduler for PerfectHot {
-        fn name(&self) -> &'static str {
-            "perfect-hot"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::hot(self.run.phases[0].components.len(), 0)
-        }
-        fn pool_for_next_phase(&mut self, half_of: usize, _: &PhaseObservation) -> PoolRequest {
-            PoolRequest::hot(self.run.phases[half_of + 1].components.len(), 0)
-        }
-        fn place(
-            &mut self,
-            phase: &Phase,
-            available: &[InstanceView],
-            _: SimTime,
-        ) -> Vec<Placement> {
-            phase
-                .components
-                .iter()
-                .zip(available)
-                .map(|(_, inst)| Placement {
-                    tier: inst.tier,
-                    instance: Some(inst.id),
-                })
-                .collect()
-        }
-    }
+    use crate::pool::{InstanceView, PoolRequest};
+    use crate::sched::{PhaseObservation, Placement, RunInfo, ServerlessScheduler};
+    use crate::test_support::{ccl_run, place_greedily, AllCold, PerfectHot};
+    use dd_wfdag::{LanguageRuntime, Phase, WorkflowRun};
 
     fn small_run() -> (WorkflowRun, Vec<LanguageRuntime>) {
-        let spec = WorkflowSpec::new(Workflow::Ccl).scaled_down(10);
-        let runtimes = spec.runtimes.clone();
-        let run = RunGenerator::new(spec, 7).generate(0);
-        (run, runtimes)
+        ccl_run(10, 7)
     }
 
     #[test]
@@ -784,21 +260,7 @@ mod tests {
                 available: &[InstanceView],
                 _: SimTime,
             ) -> Vec<Placement> {
-                let mut avail = available.iter();
-                phase
-                    .components
-                    .iter()
-                    .map(|_| match avail.next() {
-                        Some(i) => Placement {
-                            tier: i.tier,
-                            instance: Some(i.id),
-                        },
-                        None => Placement {
-                            tier: Tier::HighEnd,
-                            instance: None,
-                        },
-                    })
-                    .collect()
+                place_greedily(phase, available)
             }
         }
 

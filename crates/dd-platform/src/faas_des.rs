@@ -1,48 +1,21 @@
 //! Event-driven executor: the DES cross-check of [`crate::faas`].
 //!
-//! [`crate::faas::FaasExecutor`] computes each phase analytically (legal
-//! because microVMs don't preempt each other, so completion times are
-//! known at start). This module re-implements the *same semantics* on the
-//! discrete-event core ([`crate::des::EventQueue`]): component
-//! completions, the half-phase storage notification and phase boundaries
-//! are all explicit events popped in time order.
+//! This module drives the same `kernel` module as
+//! [`crate::faas::FaasExecutor`], but advances time on the discrete-event
+//! core ([`crate::des::EventQueue`]): phase starts and component
+//! completions are events popped in time order.
 //!
-//! The two implementations must agree **exactly** — same service time,
-//! same ledger, same phase records, same [`crate::trace::ExecutionTrace`]
-//! and same recorder output — for every scheduler; the test suite (and
-//! `tests/end_to_end.rs` at the workspace root) asserts it. A divergence
-//! means one of the two models has a semantics bug, which is precisely
-//! what an analytic shortcut can otherwise hide.
-//!
-//! # API mapping
-//!
-//! [`DesFaasExecutor`] mirrors [`FaasExecutor`] one-to-one, so the two
-//! are drop-in interchangeable behind [`crate::executor::Executor`]:
-//!
-//! | [`FaasExecutor`]                  | [`DesFaasExecutor`]                  |
-//! |-----------------------------------|--------------------------------------|
-//! | [`FaasExecutor::new`]             | [`DesFaasExecutor::new`]             |
-//! | [`FaasExecutor::aws`]             | [`DesFaasExecutor::aws`]             |
-//! | [`FaasExecutor::with_startup`]    | [`DesFaasExecutor::with_startup`]    |
-//! | [`FaasExecutor::pricing`]         | [`DesFaasExecutor::pricing`]         |
-//! | [`FaasExecutor::startup`]         | [`DesFaasExecutor::startup`]         |
-//! | [`FaasExecutor::config`]          | [`DesFaasExecutor::config`]          |
-//! | [`Executor::run`]                 | [`Executor::run`]                    |
-//! | —                                 | [`DesFaasExecutor::run_with`] (session reuse) |
+//! The two executors must agree **exactly** (outcome, trace and recorder
+//! output) for every scheduler; the test suites assert it. Placement and
+//! accounting are shared, so a divergence is a bug in the analytic
+//! order-statistic shortcut or in the event queue.
 
 use crate::des::{EventQueue, SimTime};
-use crate::executor::{self as obs, ComponentObs, Executor, RunReport, RunRequest};
-use crate::faas::{FaasConfig, FaasExecutor, PoolTrigger};
-use crate::faults::{FaultPlan, FaultStats};
-use crate::pool::{resolve_slot, InstanceId, InstanceView, PoolRequest, PooledInstance};
+use crate::executor::{Executor, RunReport, RunRequest};
+use crate::faas::{FaasConfig, FaasExecutor};
+use crate::kernel::{self, Scratch};
 use crate::pricing::PriceSheet;
-use crate::sched::{observe_phase, PhaseObservation, RunInfo, ServerlessScheduler, StartKind};
 use crate::startup::StartupModel;
-use crate::telemetry::{CostLedger, PhaseRecord, RunOutcome, Utilization};
-use crate::tier::Tier;
-use crate::trace::{AttemptTrace, ComponentTrace, ExecutionTrace, PoolTrace};
-use dd_obs::{NoopRecorder, Recorder};
-use dd_wfdag::{LanguageRuntime, WorkflowRun};
 
 /// Events of the serverless execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,86 +26,15 @@ enum Event {
     ComponentDone { phase: usize },
 }
 
-/// The per-event-hot slice of a phase's state: the three fields every
-/// `ComponentDone` event touches, packed so the counter bump of the most
-/// frequent event stays within one cache line per phase.
-#[derive(Debug, Default, Clone, Copy)]
-struct PhaseCounters {
-    expected: u32,
-    completed: u32,
-    half_fired: bool,
-}
-
-/// The per-phase state read only at dispatch, trigger or phase end —
-/// split from [`PhaseCounters`] (struct-of-arrays) so completion events
-/// do not drag these cold bytes through the cache.
-#[derive(Debug, Default)]
-struct PhaseCold {
-    warm: u32,
-    hot: u32,
-    cold: u32,
-    wasted: u32,
-    pool_size: u32,
-    retried: u32,
-    overhead_sum: f64,
-    started_at: SimTime,
-    // Run-ledger snapshots taken at phase start; the per-phase books are
-    // the growth since (same attribution scheme as the analytic
-    // executor's, so the deltas agree bitwise).
-    ledger_mark: CostLedger,
-    faults_mark: FaultStats,
-    // The observation built when the pool trigger fired, reused verbatim
-    // at phase end (its contents are already final at trigger time), so
-    // each phase pays for at most one `observe_phase` scan.
-    observation: Option<PhaseObservation>,
-}
-
-/// Struct-of-arrays phase state: `counters[p]` is the hot slice,
-/// `cold[p]` the rest. The two vectors grow in lock-step.
-#[derive(Debug, Default)]
-struct PhaseStateSoA {
-    counters: Vec<PhaseCounters>,
-    cold: Vec<PhaseCold>,
-}
-
-impl PhaseStateSoA {
-    fn clear(&mut self) {
-        self.counters.clear();
-        self.cold.clear();
-    }
-
-    fn len(&self) -> usize {
-        debug_assert_eq!(self.counters.len(), self.cold.len());
-        self.counters.len()
-    }
-
-    fn push(&mut self, counters: PhaseCounters, cold: PhaseCold) {
-        self.counters.push(counters);
-        self.cold.push(cold);
-    }
-}
-
 /// Reusable simulation state for [`DesFaasExecutor`].
 ///
-/// Multi-run sweeps pay a measurable price for re-allocating the event
-/// heap and per-phase scratch buffers on every run. A session keeps those
-/// allocations alive across [`DesFaasExecutor::run_with`] calls; it is
-/// fully reset at the start of each execution, so results are bit-identical
-/// to a fresh [`Executor::run`] — the workspace test suite asserts this
-/// invariance.
+/// Keeps the event queue and per-phase scratch buffers allocated across
+/// [`DesFaasExecutor::run_with`] calls. It is reset at the start of each
+/// execution, so results are bit-identical to a fresh [`Executor::run`].
 #[derive(Debug, Default)]
 pub struct DesSession {
     queue: EventQueue<Event>,
-    progress: PhaseStateSoA,
-    // Per-phase scratch: invocation slots, pool-usage flags, pool views.
-    slots: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
-    used: Vec<bool>,
-    views: Vec<InstanceView>,
-    // Instance-record arenas: the active pool and the one being prepared
-    // for the next phase. Swapped (never freed) at each phase start, so a
-    // steady-state run allocates no pool storage at all.
-    pool: Vec<PooledInstance>,
-    pending_pool: Vec<PooledInstance>,
+    scratch: Scratch,
 }
 
 impl DesSession {
@@ -140,35 +42,19 @@ impl DesSession {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Resets all state while keeping allocations.
-    fn reset(&mut self) {
-        self.queue.clear();
-        self.progress.clear();
-        self.slots.clear();
-        self.used.clear();
-        self.views.clear();
-        self.pool.clear();
-        self.pending_pool.clear();
-    }
 }
 
-/// The event-driven executor.
-///
-/// Construction mirrors [`FaasExecutor`]; the `execute` method produces a
-/// [`RunOutcome`] through event flow instead of per-phase arithmetic.
+/// The event-driven executor; construction mirrors [`FaasExecutor`].
 #[derive(Debug, Clone)]
 pub struct DesFaasExecutor {
-    analytic: FaasExecutor,
-    config: FaasConfig,
+    platform: FaasExecutor,
 }
 
 impl DesFaasExecutor {
     /// Creates an event-driven executor with the given configuration.
     pub fn new(config: FaasConfig) -> Self {
         Self {
-            analytic: FaasExecutor::new(config),
-            config,
+            platform: FaasExecutor::new(config),
         }
     }
 
@@ -177,547 +63,70 @@ impl DesFaasExecutor {
         Self::new(FaasConfig::default())
     }
 
-    /// Replaces the start-up model (mirrors
-    /// [`FaasExecutor::with_startup`]).
+    /// Replaces the start-up model (see [`FaasExecutor::with_startup`]).
     pub fn with_startup(mut self, startup: StartupModel) -> Self {
-        self.analytic = self.analytic.with_startup(startup);
+        self.platform = self.platform.with_startup(startup);
         self
     }
 
-    /// The active price sheet (mirrors [`FaasExecutor::pricing`]).
+    /// The active price sheet.
     pub fn pricing(&self) -> &PriceSheet {
-        self.analytic.pricing()
+        self.platform.pricing()
     }
 
-    /// The active start-up model (mirrors [`FaasExecutor::startup`]).
+    /// The active start-up model.
     pub fn startup(&self) -> &StartupModel {
-        self.analytic.startup()
+        self.platform.startup()
     }
 
-    /// The active configuration (mirrors [`FaasExecutor::config`]).
+    /// The active configuration.
     pub fn config(&self) -> &FaasConfig {
-        &self.config
-    }
-
-    /// Deprecated shim over [`Executor::run`].
-    #[deprecated(note = "build a RunRequest and call Executor::run instead")]
-    // dd-lint: allow(executor-api): deprecated back-compat shim over Executor::run, kept for one release
-    pub fn execute(
-        &self,
-        run: &WorkflowRun,
-        runtimes: &[LanguageRuntime],
-        scheduler: &mut dyn ServerlessScheduler,
-    ) -> RunOutcome {
-        self.serve_with(
-            &mut DesSession::new(),
-            RunRequest::new(run, runtimes, scheduler),
-        )
-        .into_outcome()
-    }
-
-    /// Deprecated shim over [`DesFaasExecutor::run_with`].
-    #[deprecated(note = "build a RunRequest and call DesFaasExecutor::run_with instead")]
-    // dd-lint: allow(executor-api): deprecated back-compat shim over run_with, kept for one release
-    pub fn execute_with(
-        &self,
-        session: &mut DesSession,
-        run: &WorkflowRun,
-        runtimes: &[LanguageRuntime],
-        scheduler: &mut dyn ServerlessScheduler,
-    ) -> RunOutcome {
-        self.serve_with(session, RunRequest::new(run, runtimes, scheduler))
-            .into_outcome()
+        self.platform.config()
     }
 
     /// Executes a [`RunRequest`] reusing `session`'s allocations — the
-    /// fast path for multi-run sweeps. Produces exactly the same report
-    /// as [`Executor::run`] regardless of what the session ran before.
+    /// fast path for multi-run sweeps. Produces exactly the same report as
+    /// [`Executor::run`] regardless of what the session ran before.
     pub fn run_with(&self, session: &mut DesSession, req: RunRequest<'_>) -> RunReport {
         self.serve_with(session, req)
     }
 
-    /// Executes a [`RunRequest`], event by event — the single entry point
-    /// behind the [`Executor`] impl, [`DesFaasExecutor::run_with`] and the
-    /// deprecated shims.
-    ///
-    /// The scheduler callback order is identical to the analytic
-    /// executor's (initial pool → per phase: place, half-phase pool
-    /// request, observation), so a deterministic scheduler produces the
-    /// same decisions under both; recorder emissions follow the canonical
-    /// order documented on [`crate::executor`], so exports agree byte for
-    /// byte too.
+    /// The event loop behind [`DesFaasExecutor::run_with`] and
+    /// [`Executor::run`]: pops one `PhaseStart` per phase and one
+    /// `ComponentDone` per component; the kernel decides from the running
+    /// completion count when the pool trigger fires and the phase closes.
     fn serve_with(&self, session: &mut DesSession, req: RunRequest<'_>) -> RunReport {
-        let RunRequest {
-            run,
-            runtimes,
-            scheduler,
-            recorder,
-            collect_trace,
-            faults: fault_override,
-        } = req;
-        let mut noop = NoopRecorder;
-        let rec: &mut dyn Recorder = match recorder {
-            Some(r) => r,
-            None => &mut noop,
-        };
-        let recording = rec.enabled();
-        if recording {
-            obs::declare_metrics(rec);
-        }
-        scheduler.set_event_recording(recording);
-        let mut trace = collect_trace.then(ExecutionTrace::default);
-        session.reset();
-        let pricing = *self.analytic.pricing();
-        let startup = *self.analytic.startup();
-
-        let mut ledger = CostLedger::default();
-        let mut utilization = Utilization::default();
-        let mut records: Vec<PhaseRecord> = Vec::with_capacity(run.phases.len());
-        let mut next_instance_id = 0u64;
-        // Same fault plan as the analytic executor builds for this run —
-        // single engine, so faulty runs agree by construction. A
-        // request-level override replaces the configured plan wholesale.
-        let (fault_cfg, recovery) =
-            fault_override.unwrap_or((self.config.faults, self.config.recovery));
-        let faults = fault_cfg.absorbing_startup(&startup);
-        let plan = FaultPlan::for_run(faults, recovery, run.label.run_index as u64);
-        let mut fault_stats = FaultStats::default();
-        // Storage hints are sampled once per run (identically to the
-        // analytic executor); zero fractions keep the event arithmetic
-        // byte-identical to the hint-less path.
-        let hints = scheduler.storage_hints().clamped();
-
-        let info = RunInfo {
-            workflow: run.label.workflow,
-            runtimes: runtimes.to_vec(),
-            phase_count: run.phases.len(),
-        };
-
-        let DesSession {
-            queue,
-            progress,
-            slots,
-            used,
-            views,
-            pool,
-            pending_pool,
-        } = session;
-
-        // Pool awaiting the next phase start.
-        spawn_into(
-            pending_pool,
-            &startup,
-            scheduler.initial_pool(&info),
-            SimTime::ZERO,
-            runtimes,
-            &mut next_instance_id,
-            self.config.provisioned_concurrency,
-        );
-        if recording {
-            obs::emit_sched_events(rec, SimTime::ZERO, scheduler);
-            obs::emit_pool(rec, 0, SimTime::ZERO, pending_pool);
-        }
-
-        progress.counters.reserve(run.phases.len());
-        progress.cold.reserve(run.phases.len());
-        let mut end_time = SimTime::ZERO;
-
-        if !run.phases.is_empty() {
-            queue.push(SimTime::ZERO, Event::PhaseStart { phase: 0 });
-        }
-
-        // Local event tally flushed once to the process-wide throughput
-        // counters after the run — the pop loop stays atomic-free.
-        let mut events_popped: u64 = 0;
-        while let Some((at, event)) = queue.pop() {
-            events_popped += 1;
-            match event {
-                Event::PhaseStart { phase } => {
-                    let now = at.after(scheduler.overhead_secs());
-                    let phase_ref = &run.phases[phase];
-                    if let Some(t) = trace.as_mut() {
-                        t.phase_starts.push(now);
-                    }
-                    std::mem::swap(pool, pending_pool);
-                    pending_pool.clear();
-                    views.clear();
-                    views.extend(pool.iter().map(InstanceView::from));
-                    let placements = scheduler.place(phase_ref, views, now);
-                    if recording {
-                        obs::emit_place(
-                            rec,
-                            phase,
-                            at,
-                            scheduler.overhead_secs(),
-                            phase_ref.components.len(),
-                        );
-                        obs::emit_sched_events(rec, now, scheduler);
-                    }
-                    dd_invariant!(
-                        placements.len() == phase_ref.components.len(),
-                        "scheduler returned {} placements for {} components",
-                        placements.len(),
-                        phase_ref.components.len()
-                    );
-
-                    let counters = PhaseCounters {
-                        expected: phase_ref.components.len() as u32,
-                        completed: 0,
-                        half_fired: false,
-                    };
-                    let mut prog = PhaseCold {
-                        pool_size: pool.len() as u32,
-                        started_at: now,
-                        ledger_mark: ledger,
-                        faults_mark: fault_stats,
-                        ..PhaseCold::default()
-                    };
-
-                    used.clear();
-                    used.resize(pool.len(), false);
-                    slots.clear();
-                    for (comp_slot, (component, placement)) in
-                        phase_ref.components.iter().zip(&placements).enumerate()
-                    {
-                        let mut pool_slot = None;
-                        let (tier, kind, start, overhead) = match placement.instance {
-                            Some(id) => {
-                                let slot = resolve_slot(pool, id);
-                                pool_slot = Some(slot);
-                                dd_invariant!(
-                                    !used[slot],
-                                    "instance {id} placed twice in one phase"
-                                );
-                                used[slot] = true;
-                                let inst = &pool[slot];
-                                let kind = match inst.preload {
-                                    None => StartKind::Hot,
-                                    Some(ty) if ty == component.type_id => StartKind::Warm,
-                                    // dd-lint: allow(hot-path-panic): warm instances are only handed to their preloaded component type; a mismatch is a placement bug
-                                    Some(_) => panic!("mispaired warm instance"),
-                                };
-                                let start = now.max(inst.ready_at);
-                                let overhead = match kind {
-                                    StartKind::Warm => {
-                                        startup.warm_overhead_secs(component, inst.tier)
-                                    }
-                                    StartKind::Hot => {
-                                        startup.hot_overhead_secs(component, inst.tier)
-                                    }
-                                    // A pooled instance is always hot or
-                                    // warm by construction (kind derives
-                                    // from `preload` just above); if a
-                                    // future fault path ever downgrades
-                                    // one, fall back to the cold overhead
-                                    // instead of panicking mid-run.
-                                    StartKind::Cold => {
-                                        dd_debug_invariant!(
-                                            false,
-                                            "pooled instance {id} resolved to a cold start"
-                                        );
-                                        startup.cold_overhead_secs(component, inst.tier, runtimes)
-                                    }
-                                };
-                                (inst.tier, kind, start, overhead)
-                            }
-                            None => {
-                                let tier = placement.tier;
-                                (
-                                    tier,
-                                    StartKind::Cold,
-                                    now,
-                                    startup.cold_overhead_secs(component, tier, runtimes),
-                                )
-                            }
-                        };
-                        match kind {
-                            StartKind::Warm => prog.warm += 1,
-                            StartKind::Hot => prog.hot += 1,
-                            StartKind::Cold => prog.cold += 1,
-                        }
-                        // Fault engine: identical call (and arithmetic) to
-                        // the analytic executor's — a strict no-op when
-                        // every rate is zero.
-                        let exec = tier.exec_secs(component)
-                            * startup.exec_multiplier(kind == StartKind::Cold);
-                        let mut write = startup.output_write_secs(component, tier);
-                        if hints.batched_write_fraction > 0.0 {
-                            // Same batched-write elision as the analytic
-                            // executor, per component.
-                            write *= 1.0 - hints.batched_write_fraction;
-                        }
-                        let timeline = plan.timeline(phase, comp_slot, overhead, exec, write);
-                        // Drain finished executions so the heap tracks the
-                        // set *currently running* instead of growing all
-                        // phase long.
-                        let mut heap_drains = 0u64;
-                        while slots
-                            .peek()
-                            .is_some_and(|&std::cmp::Reverse(free)| free <= start)
-                        {
-                            slots.pop();
-                            heap_drains += 1;
-                        }
-                        let start = if slots.len() >= self.config.invocation_limit {
-                            // dd-lint: allow(hot-path-panic): len() >= limit >= 1 guarantees a poppable slot on this branch
-                            let std::cmp::Reverse(free) = slots.pop().expect("at limit");
-                            start.max(free)
-                        } else {
-                            start
-                        };
-                        let mut keep_alive_secs = None;
-                        if let Some(slot) = pool_slot {
-                            let inst = &pool[slot];
-                            let idle = start.since(inst.requested_at);
-                            ledger.keep_alive_used += pricing.cost(inst.tier, idle);
-                            utilization.record_idle(inst.tier, idle);
-                            keep_alive_secs = Some(idle);
-                        }
-                        let finish = start.after(timeline.completion_offset_secs);
-                        // Recovery may only push a completion later, never
-                        // rewind it: the DES clock is monotone even under
-                        // retries, timeouts and speculation.
-                        dd_invariant!(
-                            finish >= start,
-                            "phase {phase} slot {comp_slot}: recovery rewound completion to {finish} before start {start}"
-                        );
-                        slots.push(std::cmp::Reverse(finish));
-                        if let Some(t) = trace.as_mut() {
-                            t.components.push(ComponentTrace {
-                                phase,
-                                slot: comp_slot,
-                                kind,
-                                tier,
-                                instance: placement.instance,
-                                start,
-                                overhead_secs: timeline.overhead_secs,
-                                exec_secs: exec,
-                                write_secs: write,
-                                attempts: timeline.attempt_count(),
-                                recovery_secs: timeline.recovery_secs,
-                            });
-                            for a in &timeline.attempts {
-                                t.attempts.push(AttemptTrace {
-                                    phase,
-                                    slot: comp_slot,
-                                    attempt: a.index,
-                                    speculative: a.speculative,
-                                    fault: a.fault,
-                                    outcome: a.outcome,
-                                    start: start.after(a.start_offset_secs),
-                                    busy_secs: a.busy_secs,
-                                });
-                            }
-                        }
-                        if recording {
-                            obs::emit_component(
-                                rec,
-                                &ComponentObs {
-                                    phase,
-                                    slot: comp_slot,
-                                    kind,
-                                    tier,
-                                    start,
-                                    timeline: &timeline,
-                                    keep_alive_secs,
-                                    heap_drains,
-                                },
-                            );
-                        }
-                        let billed = start.after(timeline.primary_busy_secs).since(start);
-                        ledger.execution += pricing.cost(tier, billed);
-                        // Losing attempts bill to the separate retry
-                        // component (billed-but-unused capacity).
-                        if timeline.retry_busy_secs > 0.0 {
-                            ledger.retry += pricing.cost(tier, timeline.retry_busy_secs);
-                            utilization.record_idle(tier, timeline.retry_busy_secs);
-                        }
-                        prog.retried += u32::from(timeline.retried());
-                        if !plan.is_clean() {
-                            fault_stats.absorb(&timeline);
-                        }
-                        prog.overhead_sum += timeline.overhead_secs;
-                        utilization.record_execution(
-                            tier,
-                            exec,
-                            billed,
-                            component.cpu_demand * Tier::HighEnd.vcpus(),
-                            component.mem_gb,
-                            startup.data_fetch_secs(component, tier) + write,
-                        );
-                        queue.push(finish, Event::ComponentDone { phase });
-                    }
-
-                    for (inst, &was_used) in pool.iter().zip(used.iter()) {
-                        if !was_used {
-                            prog.wasted += 1;
-                            ledger.keep_alive_wasted +=
-                                pricing.cost(inst.tier, now.since(inst.requested_at));
-                            utilization.record_idle(inst.tier, now.since(inst.requested_at));
-                            if recording {
-                                rec.record(
-                                    obs::metrics::KEEP_ALIVE_WASTED_SECS,
-                                    now.since(inst.requested_at),
-                                );
-                            }
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.pool.push(PoolTrace {
-                                instance: inst.id,
-                                tier: inst.tier,
-                                warm: inst.preload.is_some(),
-                                requested_at: inst.requested_at,
-                                ready_at: inst.ready_at,
-                                used: was_used,
-                                released_at: now.max(inst.ready_at),
-                            });
-                        }
-                    }
-                    dd_debug_invariant!(
-                        progress.len() == phase,
-                        "phase {phase} started out of order ({} records)",
-                        progress.len()
-                    );
-                    progress.push(counters, prog);
-                }
-                Event::ComponentDone { phase } => {
-                    let ctr = &mut progress.counters[phase];
-                    ctr.completed += 1;
-
-                    let half_threshold = ctr.expected.div_ceil(2);
-                    let phase_done = ctr.completed == ctr.expected;
-                    let half_reached = ctr.completed >= half_threshold && !ctr.half_fired;
-
-                    // Half-phase trigger (or phase-complete, per config).
-                    let trigger_now = match self.config.trigger {
-                        PoolTrigger::HalfPhase => half_reached,
-                        PoolTrigger::PhaseComplete => phase_done && !ctr.half_fired,
-                    };
-                    if trigger_now && phase + 1 < run.phases.len() {
-                        ctr.half_fired = true;
-                        let prog = &mut progress.cold[phase];
-                        let mut observation =
-                            observe_phase(&run.phases[phase], self.config.friendly_threshold);
-                        // Attempt timelines are resolved at dispatch, so
-                        // the phase's retry count is already final here.
-                        observation.retried_components = prog.retried;
-                        let request = scheduler.pool_for_next_phase(phase, &observation);
-                        // Keep the observation for phase end: its contents
-                        // are final, so the end-of-phase callback can skip
-                        // a second scan of the phase's components.
-                        prog.observation = Some(observation);
-                        spawn_into(
-                            pending_pool,
-                            &startup,
-                            request,
-                            at,
-                            runtimes,
-                            &mut next_instance_id,
-                            self.config.provisioned_concurrency,
-                        );
-                        if recording {
-                            obs::emit_sched_events(rec, at, scheduler);
-                            obs::emit_pool(rec, phase + 1, at, pending_pool);
-                        }
-                    } else if trigger_now {
-                        ctr.half_fired = true;
-                    }
-
-                    if phase_done {
-                        let expected = progress.counters[phase].expected;
-                        let prog = &mut progress.cold[phase];
-                        // Pool hot/cold accounting must close exactly:
-                        // every component started exactly once, and every
-                        // pooled instance was either consumed or wasted.
-                        dd_debug_invariant!(
-                            prog.warm + prog.hot + prog.cold == expected,
-                            "phase {phase} start-kind accounting: {}+{}+{} != {} components",
-                            prog.warm,
-                            prog.hot,
-                            prog.cold,
-                            expected
-                        );
-                        dd_debug_invariant!(
-                            prog.warm + prog.hot + prog.wasted == prog.pool_size,
-                            "phase {phase} pool accounting: used {} + wasted {} != pool {}",
-                            prog.warm + prog.hot,
-                            prog.wasted,
-                            prog.pool_size
-                        );
-                        let mut observation = match prog.observation.take() {
-                            Some(observation) => observation,
-                            None => {
-                                observe_phase(&run.phases[phase], self.config.friendly_threshold)
-                            }
-                        };
-                        observation.retried_components = prog.retried;
-                        scheduler.observe_phase(&observation);
-                        records.push(PhaseRecord {
-                            index: phase,
-                            concurrency: expected,
-                            pool_size: prog.pool_size,
-                            warm_starts: prog.warm,
-                            hot_starts: prog.hot,
-                            cold_starts: prog.cold,
-                            used_instances: prog.warm + prog.hot,
-                            wasted_instances: prog.wasted,
-                            exec_secs: at.since(prog.started_at),
-                            mean_start_overhead_secs: prog.overhead_sum / expected.max(1) as f64,
-                            ledger: ledger.delta_since(&prog.ledger_mark),
-                            faults: fault_stats.delta_since(&prog.faults_mark),
+        let DesSession { queue, scratch } = session;
+        queue.clear();
+        kernel::execute(&self.platform, scratch, req, |k| {
+            if k.phase_count() > 0 {
+                queue.push(SimTime::ZERO, Event::PhaseStart { phase: 0 });
+            }
+            // Local event tally flushed once to the process-wide throughput
+            // counters after the run — the pop loop stays atomic-free.
+            let mut events_popped: u64 = 0;
+            let mut outputs = 0;
+            while let Some((at, event)) = queue.pop() {
+                events_popped += 1;
+                let (phase, at) = match event {
+                    Event::PhaseStart { phase } => {
+                        outputs = 0;
+                        let now = k.start_phase(phase, at, |finish| {
+                            queue.push(finish, Event::ComponentDone { phase });
                         });
-                        if recording {
-                            obs::emit_observe(rec, at, &observation);
-                            obs::emit_sched_events(rec, at, scheduler);
-                            obs::emit_phase(
-                                rec,
-                                prog.started_at,
-                                // dd-lint: allow(hot-path-panic): the record was pushed unconditionally just above
-                                records.last().expect("phase record just pushed"),
-                            );
-                        }
-                        if let Some(t) = trace.as_mut() {
-                            t.phase_ends.push(at);
-                        }
-                        end_time = at;
-                        if phase + 1 < run.phases.len() {
-                            queue.push(at, Event::PhaseStart { phase: phase + 1 });
-                        }
+                        (phase, now)
                     }
+                    Event::ComponentDone { phase } => {
+                        outputs += 1;
+                        (phase, at)
+                    }
+                };
+                if k.outputs_in(outputs, at) && phase + 1 < k.phase_count() {
+                    queue.push(at, Event::PhaseStart { phase: phase + 1 });
                 }
             }
-        }
-
-        ledger.storage = pricing.storage_per_sec * end_time.as_secs();
-        if hints.colocated_read_fraction > 0.0 {
-            // Affinity co-location: same discount as the analytic path.
-            ledger.storage *= 1.0 - hints.colocated_read_fraction;
-        }
-        ledger.debug_validate();
-        if recording {
-            rec.set(obs::metrics::SERVICE_TIME_SECS, end_time.as_secs());
-        }
-        crate::counters::add_des_events(events_popped);
-        crate::counters::add_component_starts(
-            records
-                .iter()
-                .map(|r| {
-                    u64::from(r.warm_starts) + u64::from(r.hot_starts) + u64::from(r.cold_starts)
-                })
-                .sum(),
-        );
-        RunReport {
-            outcome: RunOutcome {
-                // dd-lint: allow(hot-path-alloc): one String per completed run, outside the event loop
-                scheduler: scheduler.name().to_string(),
-                service_time_secs: end_time.as_secs(),
-                ledger,
-                phases: records,
-                utilization,
-                faults: fault_stats,
-            },
-            trace,
-        }
+            crate::counters::add_des_events(events_popped);
+        })
     }
 }
 
@@ -727,154 +136,48 @@ impl Executor for DesFaasExecutor {
     }
 }
 
-/// Materializes a pool request into a reused arena (identical arithmetic
-/// to the analytic executor's `spawn_pool`). The caller clears `out`
-/// before the call; filling in place keeps the per-phase pool allocation
-/// out of the event loop after the first few phases.
-fn spawn_into(
-    out: &mut Vec<PooledInstance>,
-    startup: &crate::startup::StartupModel,
-    mut request: PoolRequest,
-    requested_at: SimTime,
-    runtimes: &[LanguageRuntime],
-    next_id: &mut u64,
-    cap: usize,
-) {
-    request.entries.truncate(cap);
-    out.extend(request.entries.iter().map(|entry| {
-        let prepare = match entry.preload {
-            None => startup.hot_prepare_secs(runtimes),
-            Some(_) => startup.warm_prepare_secs(runtimes),
-        };
-        let id = InstanceId(*next_id);
-        *next_id += 1;
-        PooledInstance {
-            id,
-            tier: entry.tier,
-            preload: entry.preload,
-            requested_at,
-            ready_at: requested_at.after(prepare),
-        }
-    }));
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact equality asserts bit-reproducibility, the determinism contract
 mod tests {
     use super::*;
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
+    use crate::faas::PoolTrigger;
+    use crate::faults::{FaultConfig, RecoveryPolicy};
+    use crate::sched::ServerlessScheduler;
+    use crate::telemetry::RunOutcome;
+    use crate::test_support::{assert_same, ccl_run, AllCold, Echo};
+    use dd_wfdag::{LanguageRuntime, RunGenerator, Workflow, WorkflowRun, WorkflowSpec};
 
-    /// A deterministic scheduler exercising hot pools: requests the
-    /// previous phase's concurrency, places greedily.
-    struct Echo {
-        last: usize,
-    }
-
-    impl ServerlessScheduler for Echo {
-        fn name(&self) -> &'static str {
-            "echo"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::hot(4, 4)
-        }
-        fn pool_for_next_phase(&mut self, _: usize, obs: &PhaseObservation) -> PoolRequest {
-            self.last = obs.concurrency as usize;
-            PoolRequest::hot(self.last / 2, self.last - self.last / 2)
-        }
-        fn place(
-            &mut self,
-            phase: &Phase,
-            available: &[InstanceView],
-            _: SimTime,
-        ) -> Vec<Placement> {
-            let mut pool = available.iter();
-            phase
-                .components
-                .iter()
-                .map(|_| match pool.next() {
-                    Some(i) => Placement {
-                        tier: i.tier,
-                        instance: Some(i.id),
-                    },
-                    None => Placement {
-                        tier: Tier::HighEnd,
-                        instance: None,
-                    },
-                })
-                .collect()
-        }
-    }
-
-    fn sample() -> (WorkflowRun, Vec<LanguageRuntime>) {
-        let spec = WorkflowSpec::new(Workflow::Ccl).scaled_down(8);
-        let runtimes = spec.runtimes.clone();
-        (RunGenerator::new(spec, 17).generate(0), runtimes)
-    }
-
-    fn assert_outcomes_equal(a: &RunOutcome, b: &RunOutcome) {
-        assert_eq!(a.phases.len(), b.phases.len());
-        for (pa, pb) in a.phases.iter().zip(&b.phases) {
-            assert_eq!(pa.index, pb.index);
-            assert_eq!(pa.concurrency, pb.concurrency);
-            assert_eq!(pa.pool_size, pb.pool_size);
-            assert_eq!(
-                (pa.warm_starts, pa.hot_starts, pa.cold_starts),
-                (pb.warm_starts, pb.hot_starts, pb.cold_starts),
-                "phase {}",
-                pa.index
-            );
-            assert!(
-                (pa.exec_secs - pb.exec_secs).abs() < 1e-9,
-                "phase {} exec {} vs {}",
-                pa.index,
-                pa.exec_secs,
-                pb.exec_secs
-            );
-        }
-        assert!(
-            (a.service_time_secs - b.service_time_secs).abs() < 1e-9,
-            "service time {} vs {}",
-            a.service_time_secs,
-            b.service_time_secs
-        );
-        for (x, y) in [
-            (a.ledger.execution, b.ledger.execution),
-            (a.ledger.keep_alive_used, b.ledger.keep_alive_used),
-            (a.ledger.keep_alive_wasted, b.ledger.keep_alive_wasted),
-            (a.ledger.storage, b.ledger.storage),
-        ] {
-            assert!((x - y).abs() < 1e-9, "ledger {x} vs {y}");
-        }
+    /// Runs `run` on both executors with `config` (a fresh scheduler from
+    /// `sched` each) and asserts bitwise agreement; returns the outcome.
+    fn both<S: ServerlessScheduler>(
+        config: FaasConfig,
+        startup: StartupModel,
+        run: &WorkflowRun,
+        runtimes: &[LanguageRuntime],
+        sched: impl Fn() -> S,
+    ) -> RunOutcome {
+        let analytic = FaasExecutor::new(config)
+            .with_startup(startup)
+            .run(RunRequest::new(run, runtimes, &mut sched()))
+            .into_outcome();
+        let des = DesFaasExecutor::new(config)
+            .with_startup(startup)
+            .run(RunRequest::new(run, runtimes, &mut sched()))
+            .into_outcome();
+        assert_same(&analytic, &des);
+        analytic
     }
 
     #[test]
     fn des_and_analytic_agree_exactly() {
-        let (run, runtimes) = sample();
-        let analytic = FaasExecutor::aws()
-            .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
-            .into_outcome();
-        let des = DesFaasExecutor::aws()
-            .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
-            .into_outcome();
-        assert_outcomes_equal(&analytic, &des);
-    }
-
-    #[test]
-    fn des_and_analytic_agree_with_phase_end_trigger() {
-        let (run, runtimes) = sample();
-        let config = FaasConfig {
-            trigger: PoolTrigger::PhaseComplete,
-            ..FaasConfig::default()
-        };
-        let analytic = FaasExecutor::new(config)
-            .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
-            .into_outcome();
-        let des = DesFaasExecutor::new(config)
-            .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
-            .into_outcome();
-        assert_outcomes_equal(&analytic, &des);
+        let (run, runtimes) = ccl_run(8, 17);
+        for trigger in [PoolTrigger::HalfPhase, PoolTrigger::PhaseComplete] {
+            let config = FaasConfig {
+                trigger,
+                ..FaasConfig::default()
+            };
+            both(config, StartupModel::aws(), &run, &runtimes, || Echo);
+        }
     }
 
     #[test]
@@ -889,67 +192,50 @@ mod tests {
         for idx in 0..3 {
             let run = gen.generate(idx);
             let reused = executor
-                .run_with(
-                    &mut session,
-                    RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }),
-                )
+                .run_with(&mut session, RunRequest::new(&run, &runtimes, &mut Echo))
                 .into_outcome();
             let fresh = executor
-                .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
+                .run(RunRequest::new(&run, &runtimes, &mut Echo))
                 .into_outcome();
-            assert_outcomes_equal(&reused, &fresh);
+            assert_same(&reused, &fresh);
         }
     }
 
     #[test]
     fn des_handles_empty_run() {
-        let (mut run, runtimes) = sample();
+        let (mut run, runtimes) = ccl_run(8, 17);
         run.phases.clear();
         let out = DesFaasExecutor::aws()
-            .run(RunRequest::new(&run, &runtimes, &mut Echo { last: 0 }))
+            .run(RunRequest::new(&run, &runtimes, &mut Echo))
             .into_outcome();
         assert_eq!(out.service_time_secs, 0.0);
         assert!(out.phases.is_empty());
     }
-}
 
-#[cfg(test)]
-mod limit_tests {
-    use super::*;
-    use crate::faas::FaasExecutor;
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
-
-    struct AllCold;
-    impl ServerlessScheduler for AllCold {
-        fn name(&self) -> &'static str {
-            "all-cold"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn pool_for_next_phase(&mut self, _: usize, _: &PhaseObservation) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn place(&mut self, phase: &Phase, _: &[InstanceView], _: SimTime) -> Vec<Placement> {
-            phase
-                .components
-                .iter()
-                .map(|_| Placement {
-                    tier: Tier::HighEnd,
-                    instance: None,
-                })
-                .collect()
+    #[test]
+    fn empty_phase_completes_at_its_placement_instant() {
+        // A phase with no components closes where it is placed: its pool
+        // trigger and phase end both fire there, and the run goes on.
+        let (mut run, runtimes) = ccl_run(10, 7);
+        run.phases[1].components.clear();
+        for trigger in [PoolTrigger::HalfPhase, PoolTrigger::PhaseComplete] {
+            let config = FaasConfig {
+                trigger,
+                ..FaasConfig::default()
+            };
+            let aws = StartupModel::aws();
+            let cold = both(config, aws, &run, &runtimes, || AllCold);
+            let echo = both(config, aws, &run, &runtimes, || Echo);
+            for outcome in [cold, echo] {
+                assert_eq!(outcome.phases.len(), run.phases.len());
+                assert_eq!(outcome.phases[1].exec_secs, 0.0);
+            }
         }
     }
 
     #[test]
     fn invocation_limit_binds_and_both_executors_agree() {
-        let spec = WorkflowSpec::new(Workflow::Ccl).scaled_down(15);
-        let runtimes = spec.runtimes.clone();
-        let run = RunGenerator::new(spec, 5).generate(0);
-
+        let (run, runtimes) = ccl_run(15, 5);
         let unconstrained = FaasExecutor::aws()
             .run(RunRequest::new(&run, &runtimes, &mut AllCold))
             .into_outcome();
@@ -957,80 +243,31 @@ mod limit_tests {
             invocation_limit: 2,
             ..FaasConfig::default()
         };
-        let constrained = FaasExecutor::new(config)
-            .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-            .into_outcome();
+        let constrained = both(config, StartupModel::aws(), &run, &runtimes, || AllCold);
         assert!(
             constrained.service_time_secs > unconstrained.service_time_secs * 1.5,
             "a 2-slot limit must serialize phases: {:.1}s vs {:.1}s",
             constrained.service_time_secs,
             unconstrained.service_time_secs
         );
-
-        // DES agreement under the binding limit.
-        let des = DesFaasExecutor::new(config)
-            .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-            .into_outcome();
-        assert!(
-            (des.service_time_secs - constrained.service_time_secs).abs() < 1e-9,
-            "des {:.3} vs analytic {:.3}",
-            des.service_time_secs,
-            constrained.service_time_secs
-        );
-        assert!((des.service_cost() - constrained.service_cost()).abs() < 1e-9);
     }
-}
 
-#[cfg(test)]
-#[allow(clippy::float_cmp)] // exact equality asserts bit-reproducibility, the determinism contract
-mod straggler_tests {
-    use super::*;
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use crate::startup::StartupModel;
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
-
-    struct AllCold;
-    impl ServerlessScheduler for AllCold {
-        fn name(&self) -> &'static str {
-            "all-cold"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn pool_for_next_phase(&mut self, _: usize, _: &PhaseObservation) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn place(&mut self, phase: &Phase, _: &[InstanceView], _: SimTime) -> Vec<Placement> {
-            phase
-                .components
-                .iter()
-                .map(|_| Placement {
-                    tier: Tier::HighEnd,
-                    instance: None,
-                })
-                .collect()
+    fn straggler_model() -> StartupModel {
+        StartupModel {
+            straggler_fraction: 0.10,
+            straggler_multiplier: 8.0,
+            ..StartupModel::aws()
         }
     }
 
     #[test]
     fn stragglers_inflate_service_time_deterministically() {
-        let spec = WorkflowSpec::new(Workflow::Ccl).scaled_down(12);
-        let runtimes = spec.runtimes.clone();
-        let run = RunGenerator::new(spec, 6).generate(0);
-
+        let (run, runtimes) = ccl_run(12, 6);
         let clean = FaasExecutor::aws()
             .run(RunRequest::new(&run, &runtimes, &mut AllCold))
             .into_outcome();
-        let faulty_model = StartupModel {
-            straggler_fraction: 0.10,
-            straggler_multiplier: 8.0,
-            ..StartupModel::aws()
-        };
-        let faulty = FaasExecutor::aws()
-            .with_startup(faulty_model)
-            .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-            .into_outcome();
+        let config = FaasConfig::default();
+        let faulty = both(config, straggler_model(), &run, &runtimes, || AllCold);
         assert!(
             faulty.service_time_secs > clean.service_time_secs * 1.05,
             "10% 8x stragglers should hurt: {:.1}s vs {:.1}s",
@@ -1038,23 +275,8 @@ mod straggler_tests {
             clean.service_time_secs
         );
         // Deterministic: same model, same outcome.
-        let again = FaasExecutor::aws()
-            .with_startup(faulty_model)
-            .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-            .into_outcome();
-        assert_eq!(faulty.service_time_secs, again.service_time_secs);
-
-        // And the DES executor agrees exactly.
-        let des = DesFaasExecutor::aws()
-            .with_startup(faulty_model)
-            .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-            .into_outcome();
-        assert!(
-            (des.service_time_secs - faulty.service_time_secs).abs() < 1e-9,
-            "des {:.3} vs analytic {:.3}",
-            des.service_time_secs,
-            faulty.service_time_secs
-        );
+        let again = both(config, straggler_model(), &run, &runtimes, || AllCold);
+        assert_same(&faulty, &again);
     }
 
     #[test]
@@ -1064,24 +286,13 @@ mod straggler_tests {
         // of a sweep straggled in exactly the same places. Re-labelling
         // the *same* run content with a different run index must move the
         // placement — and both executors must agree on either variant.
-        let spec = WorkflowSpec::new(Workflow::Ccl).scaled_down(12);
-        let runtimes = spec.runtimes.clone();
-        let run = RunGenerator::new(spec, 6).generate(0);
+        let (run, runtimes) = ccl_run(12, 6);
         let mut relabeled = run.clone();
         relabeled.label.run_index = 1;
 
-        let faulty_model = StartupModel {
-            straggler_fraction: 0.10,
-            straggler_multiplier: 8.0,
-            ..StartupModel::aws()
-        };
-        let mut exec = FaasExecutor::aws().with_startup(faulty_model);
-        let a = exec
-            .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-            .into_outcome();
-        let b = exec
-            .run(RunRequest::new(&relabeled, &runtimes, &mut AllCold))
-            .into_outcome();
+        let config = FaasConfig::default();
+        let a = both(config, straggler_model(), &run, &runtimes, || AllCold);
+        let b = both(config, straggler_model(), &relabeled, &runtimes, || AllCold);
         assert!(
             (a.service_time_secs - b.service_time_secs).abs() > 1e-6,
             "straggler placement identical across run indices: {} vs {}",
@@ -1090,27 +301,10 @@ mod straggler_tests {
         );
 
         // With the engine disabled the run index has no effect at all.
-        let clean_a = FaasExecutor::aws()
-            .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-            .into_outcome();
-        let clean_b = FaasExecutor::aws()
-            .run(RunRequest::new(&relabeled, &runtimes, &mut AllCold))
-            .into_outcome();
+        let aws = StartupModel::aws();
+        let clean_a = both(config, aws, &run, &runtimes, || AllCold);
+        let clean_b = both(config, aws, &relabeled, &runtimes, || AllCold);
         assert_eq!(clean_a.service_time_secs, clean_b.service_time_secs);
-
-        // Equal seeds: the DES executor reproduces both variants exactly.
-        for (run, analytic) in [(&run, &a), (&relabeled, &b)] {
-            let des = DesFaasExecutor::aws()
-                .with_startup(faulty_model)
-                .run(RunRequest::new(run, &runtimes, &mut AllCold))
-                .into_outcome();
-            assert!(
-                (des.service_time_secs - analytic.service_time_secs).abs() < 1e-9,
-                "des {:.3} vs analytic {:.3}",
-                des.service_time_secs,
-                analytic.service_time_secs
-            );
-        }
     }
 
     #[test]
@@ -1135,39 +329,6 @@ mod straggler_tests {
         let rate = hits as f64 / 100_000.0;
         assert!((rate - 0.2).abs() < 0.01, "straggler rate {rate}");
     }
-}
-
-#[cfg(test)]
-#[allow(clippy::float_cmp)] // exact equality asserts bit-reproducibility, the determinism contract
-mod fault_tests {
-    use super::*;
-    use crate::faults::{FaultConfig, RecoveryPolicy};
-    use crate::pool::InstanceView;
-    use crate::sched::{PhaseObservation, Placement};
-    use dd_wfdag::{Phase, RunGenerator, Workflow, WorkflowSpec};
-
-    struct AllCold;
-    impl ServerlessScheduler for AllCold {
-        fn name(&self) -> &'static str {
-            "all-cold"
-        }
-        fn initial_pool(&mut self, _: &RunInfo) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn pool_for_next_phase(&mut self, _: usize, _: &PhaseObservation) -> PoolRequest {
-            PoolRequest::none()
-        }
-        fn place(&mut self, phase: &Phase, _: &[InstanceView], _: SimTime) -> Vec<Placement> {
-            phase
-                .components
-                .iter()
-                .map(|_| Placement {
-                    tier: Tier::HighEnd,
-                    instance: None,
-                })
-                .collect()
-        }
-    }
 
     #[test]
     fn executors_agree_on_faulty_runs_under_every_policy() {
@@ -1175,10 +336,7 @@ mod fault_tests {
         // channel live, the analytic and event-driven executors resolve
         // the same timelines — same service time, same ledger including
         // the retry component — because both query one FaultPlan.
-        let spec = WorkflowSpec::new(Workflow::Ccl).scaled_down(12);
-        let runtimes = spec.runtimes.clone();
-        let run = RunGenerator::new(spec, 6).generate(0);
-
+        let (run, runtimes) = ccl_run(12, 6);
         for policy in [
             RecoveryPolicy::none(),
             RecoveryPolicy::backoff(),
@@ -1190,26 +348,7 @@ mod fault_tests {
                 recovery: policy,
                 ..FaasConfig::default()
             };
-            let analytic = FaasExecutor::new(config)
-                .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-                .into_outcome();
-            let des = DesFaasExecutor::new(config)
-                .run(RunRequest::new(&run, &runtimes, &mut AllCold))
-                .into_outcome();
-            assert!(
-                (analytic.service_time_secs - des.service_time_secs).abs() < 1e-9,
-                "{policy:?}: analytic {:.4}s vs des {:.4}s",
-                analytic.service_time_secs,
-                des.service_time_secs
-            );
-            for (x, y) in [
-                (analytic.ledger.execution, des.ledger.execution),
-                (analytic.ledger.retry, des.ledger.retry),
-                (analytic.ledger.storage, des.ledger.storage),
-            ] {
-                assert!((x - y).abs() < 1e-9, "{policy:?}: ledger {x} vs {y}");
-            }
-            assert_eq!(analytic.faults, des.faults, "{policy:?} counters");
+            let analytic = both(config, StartupModel::aws(), &run, &runtimes, || AllCold);
             // Faults actually fired, retry cost is a real non-negative
             // component, and conservation holds with it included.
             assert!(analytic.faults.failures() > 0, "{policy:?}");
@@ -1232,11 +371,8 @@ mod fault_tests {
     fn clean_config_is_strict_noop() {
         // Every rate zero: outcomes must be *bit-identical* to an
         // executor that predates the fault engine — same service time,
-        // zero retry cost, zero counters. (Debug-format equality is the
-        // strongest cheap proxy for bitwise equality.)
-        let spec = WorkflowSpec::new(Workflow::Ccl).scaled_down(10);
-        let runtimes = spec.runtimes.clone();
-        let run = RunGenerator::new(spec, 17).generate(0);
+        // zero retry cost, zero counters.
+        let (run, runtimes) = ccl_run(10, 17);
         let default_cfg = FaasExecutor::aws()
             .run(RunRequest::new(&run, &runtimes, &mut AllCold))
             .into_outcome();
@@ -1247,11 +383,7 @@ mod fault_tests {
         })
         .run(RunRequest::new(&run, &runtimes, &mut AllCold))
         .into_outcome();
-        assert_eq!(
-            format!("{default_cfg:?}"),
-            format!("{explicit_clean:?}"),
-            "clean fault config must not perturb any output"
-        );
+        assert_same(&default_cfg, &explicit_clean);
         assert_eq!(default_cfg.ledger.retry, 0.0);
         assert_eq!(default_cfg.faults, crate::faults::FaultStats::default());
     }

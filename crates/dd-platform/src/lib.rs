@@ -55,6 +55,7 @@ pub mod faas;
 pub mod faas_des;
 pub mod faults;
 pub mod instance;
+mod kernel;
 pub mod policy;
 pub mod pool;
 pub mod pricing;
@@ -62,6 +63,8 @@ pub mod sched;
 pub mod startup;
 pub mod storage;
 pub mod telemetry;
+#[cfg(test)]
+mod test_support;
 pub mod tier;
 pub mod trace;
 pub mod traffic;

@@ -32,6 +32,15 @@ pub struct BackendStore {
     bytes_read_mb: f64,
 }
 
+/// How many of a phase's `expected` outputs must be present before the
+/// store sends the half-phase notification: `ceil(n / 2)`, matching "when
+/// half of the components of the phase have finished execution". Both
+/// executors and [`BackendStore::notifications`] take the threshold from
+/// here.
+pub(crate) fn half_phase_rank(expected: usize) -> usize {
+    expected.div_ceil(2)
+}
+
 /// Notification thresholds computed for a completed phase.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PhaseNotifications {
@@ -81,10 +90,7 @@ impl BackendStore {
     }
 
     /// Computes the half-complete and complete notification instants of a
-    /// fully recorded phase.
-    ///
-    /// The half threshold is `ceil(n / 2)` outputs, matching "when half of
-    /// the components of the phase have finished execution".
+    /// fully recorded phase (half threshold: `ceil(n / 2)` outputs).
     ///
     /// # Panics
     /// Panics if outputs are still missing.
@@ -97,7 +103,7 @@ impl BackendStore {
         );
         let mut sorted = phase.arrivals.clone();
         sorted.sort();
-        let half_idx = phase.expected.div_ceil(2).saturating_sub(1);
+        let half_idx = half_phase_rank(phase.expected).saturating_sub(1);
         PhaseNotifications {
             half_complete: sorted[half_idx],
             complete: *sorted.last().expect("non-empty phase"),

@@ -4,9 +4,7 @@
 //!    executors on the same seed (the recorder sees the canonical event
 //!    order from both),
 //! 2. attaching a recorder never changes the simulated outcome (recording
-//!    is write-only telemetry),
-//! 3. the deprecated pre-trait entry points still compile and agree with
-//!    the unified [`Executor`] API (back-compat shims).
+//!    is write-only telemetry).
 
 use daydream_core::{DayDreamHistory, DayDreamScheduler};
 use dd_obs::export;
@@ -152,34 +150,4 @@ fn exports_reproduce_run_to_run() {
         )
     };
     assert_eq!(render(), render());
-}
-
-/// The one place the deprecated pre-trait entry points are exercised:
-/// they must keep compiling (with a deprecation warning everywhere else)
-/// and produce the same results as the unified API.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_executor_trait() {
-    let (run, runtimes, history) = setup(10);
-
-    let mut s = scheduler(&history);
-    let via_trait = FaasExecutor::aws()
-        .run(RunRequest::new(&run, &runtimes, &mut s))
-        .into_outcome();
-    let mut s = scheduler(&history);
-    let via_shim = FaasExecutor::aws().execute(&run, &runtimes, &mut s);
-    assert_eq!(format!("{via_trait:?}"), format!("{via_shim:?}"));
-
-    let mut s = scheduler(&history);
-    let (traced_outcome, trace) = FaasExecutor::aws().execute_traced(&run, &runtimes, &mut s);
-    assert_eq!(format!("{via_trait:?}"), format!("{traced_outcome:?}"));
-    assert_eq!(trace.phase_starts.len(), run.phase_count());
-
-    let mut s = scheduler(&history);
-    let des_shim = DesFaasExecutor::aws().execute(&run, &runtimes, &mut s);
-    let mut s = scheduler(&history);
-    let mut session = DesSession::new();
-    let des_with = DesFaasExecutor::aws().execute_with(&mut session, &run, &runtimes, &mut s);
-    assert_eq!(format!("{via_trait:?}"), format!("{des_shim:?}"));
-    assert_eq!(format!("{via_trait:?}"), format!("{des_with:?}"));
 }

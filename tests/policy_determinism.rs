@@ -1,9 +1,7 @@
 //! Registry-wide determinism: every policy behind `--policy <name>` must
 //! produce byte-identical results at any `--jobs` setting — clean and
 //! under fault injection — and the serverless policies must agree across
-//! the analytic and DES executors. Also the one place the deprecated
-//! pre-registry scheduler constructors are exercised, pinned against the
-//! registry-built equivalents.
+//! the analytic and DES executors.
 
 use daydream::platform::{
     BuiltScheduler, CloudVendor, DesFaasExecutor, Executor, FaasConfig, FaasExecutor, FaultConfig,
@@ -142,62 +140,4 @@ proptest! {
             prop_assert_eq!(&serial[0], &des, "{}: DES diverges from analytic under faults", name);
         }
     }
-}
-
-/// The one place the deprecated pre-registry scheduler constructors are
-/// exercised: they must keep compiling (with a deprecation warning
-/// everywhere else) and agree byte-for-byte with the registry-built
-/// equivalents.
-#[test]
-#[allow(deprecated)]
-fn deprecated_policy_shims_agree_with_registry() {
-    use daydream::baselines::{
-        FixedPoolScheduler, HybridScheduler, OracleScheduler, Pegasus, WildScheduler,
-    };
-    use daydream::core::DayDreamHistory;
-
-    let gen = generator();
-    let run = gen.generate(1);
-    let runtimes = gen.spec().runtimes.clone();
-    let mut history = DayDreamHistory::new();
-    history.learn_from_run(&gen.generate(1_000), 0.20, 24);
-    let seeds = SeedStream::new(0xD0).derive_index(1);
-
-    let via_registry = |name: &str| {
-        execute(
-            prepared(name, &gen).as_ref(),
-            &gen,
-            1,
-            FaasConfig::default(),
-            false,
-        )
-    };
-    let outcome = |exec: daydream::platform::RunOutcome| format!("{exec:?}");
-
-    let mut wild = WildScheduler::new();
-    let shim = FaasExecutor::aws()
-        .run(RunRequest::new(&run, &runtimes, &mut wild))
-        .into_outcome();
-    assert_eq!(outcome(shim), via_registry("wild"));
-
-    let mut oracle = OracleScheduler::new(run.clone(), 0.20);
-    let shim = FaasExecutor::aws()
-        .run(RunRequest::new(&run, &runtimes, &mut oracle))
-        .into_outcome();
-    assert_eq!(outcome(shim), via_registry("oracle"));
-
-    let mut hybrid = HybridScheduler::aws(&history, seeds);
-    let shim = FaasExecutor::aws()
-        .run(RunRequest::new(&run, &runtimes, &mut hybrid))
-        .into_outcome();
-    assert_eq!(outcome(shim), via_registry("hybrid"));
-
-    let mut fixed = FixedPoolScheduler::from_mean_multiple(1.0, &history);
-    let shim = FaasExecutor::aws()
-        .run(RunRequest::new(&run, &runtimes, &mut fixed))
-        .into_outcome();
-    assert_eq!(outcome(shim), via_registry("fixed-pool"));
-
-    let shim = Pegasus.execute(&run, &runtimes);
-    assert_eq!(outcome(shim), via_registry("pegasus"));
 }
