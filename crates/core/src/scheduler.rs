@@ -54,7 +54,6 @@ fn bootstrap_prior() -> Weibull {
 
 impl DayDreamScheduler {
     /// Creates a scheduler from workflow history for the given vendor.
-    // dd-lint: allow(policy-api): the in-crate substrate DayDreamPolicy::build constructs; not a new entry point
     pub fn new(
         history: &DayDreamHistory,
         config: DayDreamConfig,
@@ -85,7 +84,6 @@ impl DayDreamScheduler {
     }
 
     /// AWS scheduler with default configuration.
-    // dd-lint: allow(policy-api): the in-crate substrate DayDreamPolicy::build constructs; not a new entry point
     pub fn aws(history: &DayDreamHistory, seeds: SeedStream) -> Self {
         Self::new(history, DayDreamConfig::default(), CloudVendor::Aws, seeds)
     }

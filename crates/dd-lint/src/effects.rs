@@ -39,7 +39,7 @@
 //!
 //! [`provenance`] reconstructs, after the fixpoint, a concrete call path
 //! from a function down to the body that introduced its effect level —
-//! the chains behind `--explain` and the `effect-contract` diagnostics.
+//! the chain behind the `effect-contract` diagnostics.
 
 use crate::symbols::{FnDef, TokenHit};
 
@@ -65,8 +65,8 @@ pub enum Level {
 }
 
 impl Level {
-    /// Stable lowercase name used in `dd-lint.toml` contracts,
-    /// `effects.json`, and diagnostics.
+    /// Stable lowercase name used in `dd-lint.toml` contracts and
+    /// diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             Level::Pure => "pure",
@@ -78,7 +78,7 @@ impl Level {
         }
     }
 
-    /// Every level, weakest first (for count tables).
+    /// Every level, weakest first.
     pub const ALL: [Level; 6] = [
         Level::Pure,
         Level::Alloc,
@@ -290,159 +290,6 @@ pub fn provenance(
     chain
 }
 
-/// Strongly connected components of the call graph (iterative Kosaraju),
-/// returned as sorted member lists, sorted by smallest member —
-/// deterministic for a given graph. Only components that actually
-/// recurse are returned: size ≥ 2, or a single node with a self-loop.
-pub fn recursive_sccs(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = edges.len();
-    let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (u, outs) in edges.iter().enumerate() {
-        for &v in outs {
-            reverse[v].push(u);
-        }
-    }
-    // Pass 1: finish-order DFS on the forward graph.
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for root in 0..n {
-        if seen[root] {
-            continue;
-        }
-        // Stack of (node, next-edge-index) frames.
-        let mut stack = vec![(root, 0usize)];
-        seen[root] = true;
-        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-            if *i < edges[u].len() {
-                let v = edges[u][*i];
-                *i += 1;
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push((v, 0));
-                }
-            } else {
-                order.push(u);
-                stack.pop();
-            }
-        }
-    }
-    // Pass 2: collect components on the reverse graph in reverse finish
-    // order.
-    let mut comp = vec![usize::MAX; n];
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    for &root in order.iter().rev() {
-        if comp[root] != usize::MAX {
-            continue;
-        }
-        let id = sccs.len();
-        let mut members = vec![root];
-        comp[root] = id;
-        let mut stack = vec![root];
-        while let Some(u) = stack.pop() {
-            for &v in &reverse[u] {
-                if comp[v] == usize::MAX {
-                    comp[v] = id;
-                    members.push(v);
-                    stack.push(v);
-                }
-            }
-        }
-        members.sort_unstable();
-        sccs.push(members);
-    }
-    sccs.retain(|m| m.len() > 1 || edges[m[0]].contains(&m[0]));
-    sccs.sort_by_key(|m| m[0]);
-    sccs
-}
-
-/// One function's row in the exported effect table.
-#[derive(Debug, Clone)]
-pub struct EffectRow {
-    /// Workspace-relative path of the defining file.
-    pub file: String,
-    /// Display name (`Type::fn`, `module::fn`, or `crate::fn`).
-    pub name: String,
-    /// 1-based header line.
-    pub line: usize,
-    /// 1-based last body line.
-    pub end_line: usize,
-    /// Inferred (post-fixpoint) effect.
-    pub effect: Effect,
-    /// Intrinsic (own-body) effect, before callee joins.
-    pub intrinsic: Effect,
-}
-
-/// The inferred effect of every non-test function in the workspace,
-/// sorted by `(file, line)` — the payload of `effects.json` and the
-/// lookup table behind per-result SARIF effect properties.
-#[derive(Debug, Clone, Default)]
-pub struct EffectTable {
-    pub rows: Vec<EffectRow>,
-}
-
-impl EffectTable {
-    /// The effect of the function whose body span covers `file:line`,
-    /// if any.
-    pub fn effect_at(&self, file: &str, line: usize) -> Option<Effect> {
-        self.rows
-            .iter()
-            .find(|r| r.file == file && r.line <= line && line <= r.end_line)
-            .map(|r| r.effect)
-    }
-
-    /// Count of functions per inferred level, in lattice order.
-    pub fn level_counts(&self) -> [(&'static str, usize); 6] {
-        let mut counts = [0usize; 6];
-        for row in &self.rows {
-            counts[row.effect.level as usize] += 1;
-        }
-        let mut out = [("", 0); 6];
-        for (i, level) in Level::ALL.iter().enumerate() {
-            out[i] = (level.name(), counts[i]);
-        }
-        out
-    }
-
-    /// Renders the table as stable JSON (`effects.json`):
-    /// `{"version":1,"counts":{level:n..},"functions":[{name,file,line,
-    /// end_line,effect,intrinsic,nondet}..]}`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"version\":1,\"counts\":{");
-        for (i, (name, n)) in self.level_counts().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", crate::json_str(name), n));
-        }
-        out.push_str("},\"functions\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let kinds = row
-                .effect
-                .nondet_kinds()
-                .iter()
-                .map(|k| crate::json_str(k))
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"name\":{},\"file\":{},\"line\":{},\"end_line\":{},\
-                 \"effect\":{},\"intrinsic\":{},\"nondet\":[{}]}}",
-                crate::json_str(&row.name),
-                crate::json_str(&row.file),
-                row.line,
-                row.end_line,
-                crate::json_str(row.effect.level.name()),
-                crate::json_str(row.intrinsic.level.name()),
-                kinds,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,37 +390,5 @@ mod tests {
         let eff2 = vec![nd(NONDET_RNG), nd(NONDET_RNG)];
         let chain = provenance(0, &intr2, &eff2, &edges);
         assert!(chain.len() <= 2);
-    }
-
-    #[test]
-    fn sccs_found_with_self_loops_and_cycles() {
-        // 0 -> 1 -> 0 (cycle), 2 -> 2 (self-loop), 3 alone.
-        let edges = vec![vec![1], vec![0], vec![2], vec![]];
-        let sccs = recursive_sccs(&edges);
-        assert_eq!(sccs, vec![vec![0, 1], vec![2]]);
-    }
-
-    #[test]
-    fn effect_table_lookup_and_json() {
-        let table = EffectTable {
-            rows: vec![EffectRow {
-                file: "crates/x/src/lib.rs".into(),
-                name: "x::f".into(),
-                line: 3,
-                end_line: 9,
-                effect: nd(NONDET_TIME),
-                intrinsic: Effect::PURE,
-            }],
-        };
-        assert_eq!(
-            table.effect_at("crates/x/src/lib.rs", 5).unwrap().level,
-            Level::NonDet
-        );
-        assert!(table.effect_at("crates/x/src/lib.rs", 10).is_none());
-        assert!(table.effect_at("other.rs", 5).is_none());
-        let json = table.render_json();
-        assert!(json.contains("\"effect\":\"nondet\""), "{json}");
-        assert!(json.contains("\"nondet\":[\"time\"]"), "{json}");
-        assert!(json.contains("\"nondet\":1"), "counts: {json}");
     }
 }

@@ -14,14 +14,10 @@
 //!    same-crate, then workspace-wide; the first non-empty set supplies
 //!    the edges.
 //!
-//! Two precision guards temper the name matching. Functions defined in a
+//! One precision guard tempers the name matching: functions defined in a
 //! *bin* file are only resolvable from their own file — a bin has no
 //! externally linkable path, so a cross-file name match is always a
-//! collision with an unrelated target. And calls dispatched on a foreign
-//! receiver (`other.run()`) keep their reachability edges but are
-//! excluded from recursion-cycle detection ([`Workspace::cycle_edges`]):
-//! with receiver types unknown, a ubiquitous method name would otherwise
-//! fabricate call cycles spanning the whole workspace.
+//! collision with an unrelated target.
 //!
 //! Over-approximation (several same-named candidates) adds edges, which
 //! can only make the reachability rules *stricter*, and every extra
@@ -41,12 +37,6 @@
 //!   referenced from a bin, test, bench, example, `#[cfg(test)]` region,
 //!   or the facade (computed as a name-liveness fixpoint over fn bodies,
 //!   seeded by top-level references).
-//! * `policy-api` — new `pub fn` scheduler entry points outside the
-//!   `SchedulerPolicy` trait surface: inherent constructors (`new`,
-//!   `aws`, `from_*`) on `*Scheduler` types and free/inherent
-//!   `execute*` fns inside the policy crates. Schedulers are built
-//!   through `SchedulerPolicy::build` via the registry; the deprecated
-//!   pre-registry shims carry inline allows.
 //! * `par-purity` — a shared-mutability / nondeterminism / I/O token in
 //!   any function transitively reachable from the direct callers of a
 //!   configured fan-out *sink* (`par_map`, `FrontDoor::serve`). The sink
@@ -57,14 +47,11 @@
 //! * `effect-contract` — a function listed with a declared effect in
 //!   `dd-lint.toml` whose *inferred* effect is not `⊑` the declaration:
 //!   a CI gate against silent effect strengthening of key API surface.
-//! * `recursive-effect-cycle` — a call-graph SCC whose joined inferred
-//!   effect reaches `NonDet`: the effect fixpoint widens least precisely
-//!   over cycles, so nondeterminism inside recursion deserves a look.
 //! * `config` (pseudo-rule, always on) — `dd-lint.toml` patterns that
 //!   match nothing in the scanned tree (configuration rot).
 
 use crate::config::{Config, RuleScope};
-use crate::effects::{self, Effect, EffectRow, EffectTable, Level};
+use crate::effects::{self, Effect, Level};
 use crate::rules::{self, Finding, CONFIG_RULE};
 use crate::symbols::{FileMap, FnDef, ItemKind, TokenHit};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -82,10 +69,6 @@ pub struct Workspace {
     nodes: Vec<(usize, usize)>,
     /// Adjacency: global index → sorted callee global indices.
     edges: Vec<Vec<usize>>,
-    /// Adjacency restricted to receiver-certain calls (plain, qualified,
-    /// `self.`) — the graph recursion-cycle detection runs on, so a
-    /// foreign method dispatch (`other.run()`) can't fabricate a cycle.
-    cycle_edges: Vec<Vec<usize>>,
     /// Intrinsic (own-body) effect per node.
     intrinsics: Vec<Effect>,
     /// Inferred (post-fixpoint) effect per node.
@@ -106,12 +89,10 @@ impl Workspace {
             by_name.entry(&files[fi].fns[i].name).or_default().push(g);
         }
         let mut edges = vec![Vec::new(); nodes.len()];
-        let mut cycle_edges = vec![Vec::new(); nodes.len()];
         for (g, &(fi, i)) in nodes.iter().enumerate() {
             let caller_file = &files[fi];
             let caller = &caller_file.fns[i];
             let mut out: BTreeSet<usize> = BTreeSet::new();
-            let mut out_cycle: BTreeSet<usize> = BTreeSet::new();
             for call in &caller.calls {
                 let Some(all_cands) = by_name.get(call.name.as_str()) else {
                     continue;
@@ -159,20 +140,16 @@ impl Workspace {
                         })
                         .collect()
                 };
-                out.extend(picked.iter().copied());
-                if !call.foreign_method {
-                    // Only receiver-certain calls (plain, qualified,
-                    // `self.`) witness recursion — see [`Call`].
-                    out_cycle.extend(picked);
-                }
+                out.extend(picked);
             }
             // Test-only fns are outside every rule's universe.
-            let not_test = |&c: &usize| {
-                let (cfi, ci) = nodes[c];
-                !files[cfi].fns[ci].in_test
-            };
-            edges[g] = out.into_iter().filter(not_test).collect();
-            cycle_edges[g] = out_cycle.into_iter().filter(not_test).collect();
+            edges[g] = out
+                .into_iter()
+                .filter(|&c| {
+                    let (cfi, ci) = nodes[c];
+                    !files[cfi].fns[ci].in_test
+                })
+                .collect();
         }
         let intrinsics: Vec<Effect> = nodes
             .iter()
@@ -184,7 +161,6 @@ impl Workspace {
             reference_refs,
             nodes,
             edges,
-            cycle_edges,
             intrinsics,
             effects: inferred,
         }
@@ -195,7 +171,7 @@ impl Workspace {
         (&self.files[fi], &self.files[fi].fns[i])
     }
 
-    /// Short display name of a fn for chains and graph dumps:
+    /// Short display name of a fn for chains and diagnostics:
     /// `Type::name`, `module::name`, or `crate::name`.
     fn display(&self, g: usize) -> String {
         let (fm, f) = self.node(g);
@@ -276,55 +252,6 @@ impl Workspace {
             .join(" -> ")
     }
 
-    /// The inferred effect of every non-test function, sorted by
-    /// `(file, line)` — the `effects.json` payload.
-    pub fn effect_table(&self) -> EffectTable {
-        let mut rows = Vec::new();
-        for g in 0..self.nodes.len() {
-            let (fm, f) = self.node(g);
-            if f.in_test {
-                continue;
-            }
-            rows.push(EffectRow {
-                file: fm.rel_path.clone(),
-                name: self.display(g),
-                line: f.line,
-                end_line: f.end_line,
-                effect: self.effects[g],
-                intrinsic: self.intrinsics[g],
-            });
-        }
-        rows.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-        EffectTable { rows }
-    }
-
-    /// Human-readable effect provenance for every function matching the
-    /// entry-point pattern `pattern` (`--explain`): the inferred effect
-    /// plus the call path down to the body that introduced it.
-    pub fn explain(&self, pattern: &str) -> String {
-        let mut out = String::new();
-        for g in 0..self.nodes.len() {
-            let (fm, f) = self.node(g);
-            if f.in_test || !entry_matches(pattern, fm, f) {
-                continue;
-            }
-            out.push_str(&format!(
-                "{} ({}:{}) — effect {}\n",
-                self.display(g),
-                fm.rel_path,
-                f.line,
-                self.effects[g]
-            ));
-            if self.effects[g].level > Level::Pure {
-                out.push_str(&format!("  via {}\n", self.effect_chain(g)));
-            }
-        }
-        if out.is_empty() {
-            out = format!("dd-lint: no function matches {pattern:?}\n");
-        }
-        out
-    }
-
     /// The provenance chain of `g`'s inferred effect level, rendered with
     /// the witnessing token and its location when the terminal function
     /// has one.
@@ -341,28 +268,6 @@ impl Workspace {
             Some(h) => format!("{names} (`{}` at {}:{})", h.token, fm.rel_path, h.line),
             None => names,
         }
-    }
-
-    /// Graphviz dump of the resolved call graph (`--emit callgraph.dot`).
-    pub fn dot(&self) -> String {
-        let mut out =
-            String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-        for g in 0..self.nodes.len() {
-            let (fm, f) = self.node(g);
-            out.push_str(&format!(
-                "  n{g} [label=\"{}\\n{}:{}\"];\n",
-                self.display(g).replace('"', "'"),
-                fm.rel_path,
-                f.line,
-            ));
-        }
-        for (g, outs) in self.edges.iter().enumerate() {
-            for &v in outs {
-                out.push_str(&format!("  n{g} -> n{v};\n"));
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// Runs every graph rule configured in `config`.
@@ -396,10 +301,8 @@ impl Workspace {
             &mut findings,
         );
         self.dead_pub_api(config, &mut findings);
-        self.policy_api(config, &mut findings);
         self.par_purity(config, &mut findings);
         self.effect_contract(config, &mut findings);
-        self.recursive_effect_cycle(config, &mut findings);
         self.validate_config(config, &mut findings);
         findings
     }
@@ -542,49 +445,6 @@ impl Workspace {
         }
     }
 
-    /// `recursive-effect-cycle`: call-graph SCCs whose joined inferred
-    /// effect reaches `NonDet` — the spot where fixpoint widening is
-    /// least precise.
-    fn recursive_effect_cycle(&self, config: &Config, findings: &mut Vec<Finding>) {
-        let scope = config.scope("recursive-effect-cycle");
-        if scope.crates.is_empty() {
-            return;
-        }
-        for scc in effects::recursive_sccs(&self.cycle_edges) {
-            let joined = scc
-                .iter()
-                .fold(Effect::PURE, |e, &g| e.join(self.effects[g]));
-            if joined.level < Level::NonDet {
-                continue;
-            }
-            let rep = scc[0];
-            let (fm, f) = self.node(rep);
-            if !scope.covers_crate(&fm.crate_name) {
-                continue;
-            }
-            if rules::suppressed(&fm.suppressions, f.line, "recursive-effect-cycle") {
-                continue;
-            }
-            let members = scc
-                .iter()
-                .map(|&g| self.display(g))
-                .collect::<Vec<_>>()
-                .join(" <-> ");
-            findings.push(Finding {
-                file: fm.rel_path.clone(),
-                line: f.line,
-                column: 1,
-                rule: "recursive-effect-cycle".to_string(),
-                message: format!(
-                    "recursive call cycle {{{members}}} infers effect `{joined}`: the \
-                     effect fixpoint widens least precisely over cycles that reach \
-                     nondeterminism; break the cycle, route the nondeterminism outside \
-                     it, or suppress with a documented justification"
-                ),
-            });
-        }
-    }
-
     /// `config` pseudo-rule: every `dd-lint.toml` symbol pattern and file
     /// path must match something in the scanned tree, or the rule it
     /// scopes silently stops checking what its author intended.
@@ -628,55 +488,6 @@ impl Workspace {
                     bad(rule, "files", path);
                 }
             }
-        }
-    }
-
-    /// `policy-api`: scheduling behavior enters through the
-    /// `SchedulerPolicy` trait (prepare/build via the registry), so a
-    /// new unrestricted-`pub` scheduler entry point outside that trait
-    /// reopens the pre-registry API the redesign closed. Flagged:
-    /// free or inherent `pub fn execute*`, and inherent constructors
-    /// (`new`, `aws`, `from_*`) on `*Scheduler` impl blocks. Trait
-    /// methods (`impl SchedulerPolicy for ..`, `impl ServerlessScheduler
-    /// for ..`) are the sanctioned surface and exempt; the deprecated
-    /// back-compat shims carry inline allows.
-    fn policy_api(&self, config: &Config, findings: &mut Vec<Finding>) {
-        let scope = config.scope("policy-api");
-        if scope.crates.is_empty() {
-            return;
-        }
-        for g in 0..self.nodes.len() {
-            let (fm, f) = self.node(g);
-            if !f.is_pub || f.in_test || f.trait_name.is_some() {
-                continue;
-            }
-            if !scope.covers_crate(&fm.crate_name) {
-                continue;
-            }
-            let scheduler_ctor = f
-                .impl_type
-                .as_deref()
-                .is_some_and(|t| t.ends_with("Scheduler"))
-                && (f.name == "new" || f.name == "aws" || f.name.starts_with("from_"));
-            if !f.name.starts_with("execute") && !scheduler_ctor {
-                continue;
-            }
-            if rules::suppressed(&fm.suppressions, f.line, "policy-api") {
-                continue;
-            }
-            findings.push(Finding {
-                file: fm.rel_path.clone(),
-                line: f.line,
-                column: 1,
-                rule: "policy-api".to_string(),
-                message: format!(
-                    "`pub fn {}` adds a scheduler entry point outside the \
-                     SchedulerPolicy trait; register the policy in the \
-                     registry and build through SchedulerPolicy::build \
-                     (deprecated shims carry inline allows)",
-                    self.display(g)
-                ),
-            });
         }
     }
 
@@ -1054,66 +865,6 @@ mod tests {
         )]);
         let f = w.run_rules(&cfg("[rule.dead-pub-api]\ncrates = [\"*\"]\n"));
         assert!(f.is_empty(), "{f:#?}");
-    }
-
-    #[test]
-    fn policy_api_flags_scheduler_ctors_and_execute_fns() {
-        let w = ws(&[(
-            "crates/dd-baselines/src/fancy.rs",
-            "impl FancyScheduler {\n    pub fn new() -> Self { Self }\n    pub fn aws() -> Self { Self }\n    pub fn from_trace(t: &Trace) -> Self { Self }\n    pub fn pool_size(&self) -> u32 { 0 }\n}\npub fn execute_fancy(run: &Run) -> Out { go(run) }\n",
-        )]);
-        let f = w.run_rules(&cfg("[rule.policy-api]\ncrates = [\"dd-baselines\"]\n"));
-        let spans: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.rule.as_str())).collect();
-        assert_eq!(
-            spans,
-            vec![
-                (2, "policy-api"),
-                (3, "policy-api"),
-                (4, "policy-api"),
-                (7, "policy-api"),
-            ],
-            "{f:#?}"
-        );
-        assert!(
-            f[0].message.contains("FancyScheduler::new"),
-            "{}",
-            f[0].message
-        );
-    }
-
-    #[test]
-    fn policy_api_exempts_trait_impls_private_fns_and_other_crates() {
-        let w = ws(&[(
-            "crates/dd-baselines/src/fancy.rs",
-            "impl SchedulerPolicy for FancyPolicy {\n    fn build(&self, ctx: &PolicyContext) -> BuiltScheduler { make() }\n}\nimpl FancyScheduler {\n    pub(crate) fn new() -> Self { Self }\n}\nimpl FancyPolicy {\n    pub fn new() -> Self { Self }\n}\n",
-        ), (
-            "crates/dd-platform/src/exec.rs",
-            "impl OtherScheduler {\n    pub fn new() -> Self { Self }\n}\n",
-        )]);
-        let f = w.run_rules(&cfg("[rule.policy-api]\ncrates = [\"dd-baselines\"]\n"));
-        assert!(f.is_empty(), "{f:#?}");
-    }
-
-    #[test]
-    fn policy_api_suppression_is_honored() {
-        let w = ws(&[(
-            "crates/dd-baselines/src/fancy.rs",
-            "impl FancyScheduler {\n    // dd-lint: allow(policy-api): deprecated back-compat shim\n    pub fn new() -> Self { Self }\n}\n",
-        )]);
-        let f = w.run_rules(&cfg("[rule.policy-api]\ncrates = [\"*\"]\n"));
-        assert!(f.is_empty(), "{f:#?}");
-    }
-
-    #[test]
-    fn dot_dump_lists_nodes_and_edges() {
-        let w = ws(&[(
-            "crates/demo/src/lib.rs",
-            "pub fn a() {\n    b();\n}\npub fn b() {}\n",
-        )]);
-        let dot = w.dot();
-        assert!(dot.starts_with("digraph callgraph {"));
-        assert!(dot.contains("n0 -> n1;"), "{dot}");
-        assert!(dot.contains("demo::a"), "{dot}");
     }
 
     #[test]

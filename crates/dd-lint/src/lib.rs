@@ -6,40 +6,37 @@
 //! enforces the repo-specific rules documented in [`rules`] — no
 //! randomized hash containers, no wall clocks or entropy in simulation
 //! crates, seeded RNG construction only, NaN-safe float ordering, and no
-//! undocumented panics in the DES hot path.
+//! undocumented panics or allocations in the DES hot path.
 //!
-//! v2 runs in two passes. Pass 1 scans each file in isolation: the
-//! per-file token rules fire directly, and [`symbols`] extracts the
+//! The analysis runs in two passes. Pass 1 scans each file in isolation:
+//! the per-file token rules fire directly, and [`symbols`] extracts the
 //! file's functions, call sites, and references. Pass 2 ([`graph`])
-//! builds the workspace call graph and runs the cross-function rules —
+//! builds the workspace call graph, infers per-function effects
+//! ([`effects`]), and runs the cross-function rules —
 //! `hot-path-panic`/`hot-path-alloc` over everything transitively
 //! reachable from the configured entry points, `determinism-taint` for
 //! call paths from deterministic entry points to wall-clock/entropy
-//! sinks, and `dead-pub-api` for unreachable `pub` surface.
+//! sinks, `dead-pub-api` for unreachable `pub` surface, and the effect
+//! rules `par-purity` and `effect-contract`.
 //!
 //! Scope is configured per rule in `dd-lint.toml` at the workspace root;
 //! inline `dd-lint: allow(<rule>): <justification>` comments suppress
 //! individual findings (the justification is mandatory and itself
 //! linted). The `dd-lint` binary walks every non-vendor `src/` tree,
 //! prints findings as `file:line:column: [rule] message` (`--format
-//! json` / `--format sarif` for machines), optionally dumps the call
-//! graph with `--emit callgraph.dot`, and exits nonzero when any
-//! unsuppressed finding remains.
+//! json` for machines), and exits nonzero when any unsuppressed finding
+//! remains.
 
-pub mod cache;
 pub mod config;
 pub mod effects;
 pub mod graph;
 pub mod rules;
-pub mod sarif;
 pub mod scan;
 pub(crate) mod symbols;
 
 pub use config::{Config, ConfigError, RuleScope};
-pub use effects::{Effect, EffectTable, Level};
-pub use graph::Workspace;
+pub use effects::{Effect, Level};
 pub use rules::{Finding, CONFIG_RULE, RULE_NAMES, SUPPRESSION_RULE};
-pub use sarif::{render_sarif, render_sarif_with_effects};
 
 use std::path::{Path, PathBuf};
 
@@ -134,36 +131,10 @@ fn walk_references(dir: &Path, in_ref: bool, out: &mut Vec<PathBuf>) -> std::io:
     Ok(())
 }
 
-/// A full two-pass analysis of the workspace: the merged findings plus
-/// the resolved call graph (for `--emit callgraph.dot`).
-pub struct Analysis {
-    /// Per-file and graph findings, sorted by `(file, line, column,
-    /// rule)`.
-    pub findings: Vec<Finding>,
-    workspace: Workspace,
-}
-
-impl Analysis {
-    /// Graphviz dump of the resolved workspace call graph.
-    pub fn callgraph_dot(&self) -> String {
-        self.workspace.dot()
-    }
-
-    /// The inferred per-function effect table (`effects.json` payload).
-    pub fn effect_table(&self) -> EffectTable {
-        self.workspace.effect_table()
-    }
-
-    /// Effect provenance for every function matching an entry-point
-    /// pattern (`--explain`).
-    pub fn explain(&self, pattern: &str) -> String {
-        self.workspace.explain(pattern)
-    }
-}
-
 /// Runs both analysis passes over the workspace under `root` (which must
-/// contain `dd-lint.toml`).
-pub fn analyze_tree(root: &Path) -> Result<Analysis, String> {
+/// contain `dd-lint.toml`): findings sorted by `(file, line, column,
+/// rule)`.
+pub fn analyze_tree(root: &Path) -> Result<Vec<Finding>, String> {
     let config_path = root.join(CONFIG_FILE);
     let text = std::fs::read_to_string(&config_path)
         .map_err(|e| format!("{}: {e}", config_path.display()))?;
@@ -173,136 +144,39 @@ pub fn analyze_tree(root: &Path) -> Result<Analysis, String> {
 
 /// [`analyze_tree`] with an explicit configuration — the workspace-clean
 /// integration tests use this to turn the graph rules on one at a time.
-pub fn analyze_tree_with_config(root: &Path, config: &Config) -> Result<Analysis, String> {
-    let mut findings = Vec::new();
-    let mut maps = Vec::new();
-    for path in collect_sources(root).map_err(|e| format!("walk {}: {e}", root.display()))? {
+pub fn analyze_tree_with_config(root: &Path, config: &Config) -> Result<Vec<Finding>, String> {
+    let walk_err = |e: std::io::Error| format!("walk {}: {e}", root.display());
+    let read =
+        |path: &Path| std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()));
+    let mut files = Vec::new();
+    for path in collect_sources(root).map_err(walk_err)? {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let source =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let crate_name = crate_of(&rel);
-        let classified = scan::classify(&source);
-        findings.extend(rules::check_file(&rel, &crate_name, &classified, config));
-        maps.push(symbols::extract_file(&rel, &crate_name, &classified));
+        files.push((rel, read(&path)?));
     }
-
-    let mut reference_refs = std::collections::BTreeSet::new();
-    for path in
-        collect_reference_sources(root).map_err(|e| format!("walk {}: {e}", root.display()))?
-    {
-        let source =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        symbols::reference_idents(&scan::classify(&source), &mut reference_refs);
+    let mut reference = Vec::new();
+    for path in collect_reference_sources(root).map_err(walk_err)? {
+        reference.push(read(&path)?);
     }
-
-    let workspace = Workspace::build(maps, reference_refs);
-    findings.extend(workspace.run_rules(config));
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, a.column, &a.rule).cmp(&(&b.file, b.line, b.column, &b.rule))
-    });
-    Ok(Analysis {
-        findings,
-        workspace,
-    })
+    let files: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(r, s)| (r.as_str(), s.as_str()))
+        .collect();
+    let reference: Vec<&str> = reference.iter().map(String::as_str).collect();
+    Ok(analyze_sources(&files, &reference, config))
 }
 
-/// [`analyze_tree`] with the incremental cache (`--cache`): per-file
-/// pass-1 products are reused from `.dd-lint-cache.json` when the file's
-/// content hash is unchanged, and the cache is rewritten afterwards. The
-/// graph pass always runs fresh — one changed file can re-route any
-/// edge. Findings are byte-identical to the uncached path.
-pub fn analyze_tree_cached(root: &Path) -> Result<Analysis, String> {
-    let config_path = root.join(CONFIG_FILE);
-    let text = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("{}: {e}", config_path.display()))?;
-    let config = Config::parse(&text).map_err(|e| e.to_string())?;
-    let config_hash = cache::fnv1a(text.as_bytes());
-    let cache_path = root.join(cache::CACHE_FILE);
-    let old = cache::Cache::load(&cache_path, config_hash);
-    let mut new = cache::Cache {
-        config_hash,
-        ..Default::default()
-    };
-
-    let mut findings = Vec::new();
-    let mut maps = Vec::new();
-    for path in collect_sources(root).map_err(|e| format!("walk {}: {e}", root.display()))? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let hash = cache::fnv1a(source.as_bytes());
-        let entry = match old.files.get(&rel).filter(|e| e.hash == hash) {
-            Some(hit) => cache::FileEntry {
-                hash,
-                findings: hit.findings.clone(),
-                map: hit.map.clone(),
-            },
-            None => {
-                let crate_name = crate_of(&rel);
-                let classified = scan::classify(&source);
-                cache::FileEntry {
-                    hash,
-                    findings: rules::check_file(&rel, &crate_name, &classified, &config),
-                    map: symbols::extract_file(&rel, &crate_name, &classified),
-                }
-            }
-        };
-        findings.extend(entry.findings.iter().cloned());
-        maps.push(entry.map.clone());
-        new.files.insert(rel, entry);
-    }
-
-    let mut reference_refs = std::collections::BTreeSet::new();
-    for path in
-        collect_reference_sources(root).map_err(|e| format!("walk {}: {e}", root.display()))?
-    {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let hash = cache::fnv1a(source.as_bytes());
-        let idents = match old.references.get(&rel).filter(|e| e.hash == hash) {
-            Some(hit) => hit.idents.clone(),
-            None => {
-                let mut idents = std::collections::BTreeSet::new();
-                symbols::reference_idents(&scan::classify(&source), &mut idents);
-                idents
-            }
-        };
-        reference_refs.extend(idents.iter().cloned());
-        new.references.insert(rel, cache::RefEntry { hash, idents });
-    }
-
-    new.store(&cache_path)
-        .map_err(|e| format!("{}: {e}", cache_path.display()))?;
-
-    let workspace = Workspace::build(maps, reference_refs);
-    findings.extend(workspace.run_rules(&config));
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, a.column, &a.rule).cmp(&(&b.file, b.line, b.column, &b.rule))
-    });
-    Ok(Analysis {
-        findings,
-        workspace,
-    })
-}
-
-/// Runs both passes over in-memory sources — the fixture-test entry
-/// point mirroring [`analyze_tree_with_config`] without any I/O. `files`
-/// are `(rel_path, source)` pairs of lintable sources; `reference` holds
-/// the sources of reference-only files (tests/benches/examples).
-pub fn analyze_sources(files: &[(&str, &str)], reference: &[&str], config: &Config) -> Analysis {
+/// Runs both passes over in-memory sources. `files` are `(rel_path,
+/// source)` pairs of lintable sources; `reference` holds the sources of
+/// reference-only files (tests/benches/examples).
+pub fn analyze_sources(
+    files: &[(&str, &str)],
+    reference: &[&str],
+    config: &Config,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut maps = Vec::new();
     for (rel, source) in files {
@@ -315,22 +189,12 @@ pub fn analyze_sources(files: &[(&str, &str)], reference: &[&str], config: &Conf
     for source in reference {
         symbols::reference_idents(&scan::classify(source), &mut reference_refs);
     }
-    let workspace = Workspace::build(maps, reference_refs);
+    let workspace = graph::Workspace::build(maps, reference_refs);
     findings.extend(workspace.run_rules(config));
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.column, &a.rule).cmp(&(&b.file, b.line, b.column, &b.rule))
     });
-    Analysis {
-        findings,
-        workspace,
-    }
-}
-
-/// Lints the whole workspace under `root` (which must contain
-/// `dd-lint.toml`): both passes, findings sorted by `(file, line,
-/// column)`.
-pub fn lint_tree(root: &Path) -> Result<Vec<Finding>, String> {
-    analyze_tree(root).map(|a| a.findings)
+    findings
 }
 
 /// Renders findings for humans, one `file:line:column: [rule] message`
@@ -382,7 +246,7 @@ pub fn render_json(findings: &[Finding]) -> String {
 }
 
 /// Minimal JSON string escaping.
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

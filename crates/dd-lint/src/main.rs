@@ -2,27 +2,18 @@
 //! unsuppressed finding.
 //!
 //! ```text
-//! dd-lint [--format human|json|sarif] [--emit PATH] [--effects PATH]
-//!         [--explain PATTERN] [--cache] [--root DIR]
+//! dd-lint [--format human|json] [--root DIR]
 //! ```
 //!
 //! Without `--root`, the workspace root is found by walking up from the
-//! current directory to the nearest `dd-lint.toml`. `--emit PATH` writes
-//! the resolved workspace call graph as Graphviz DOT (conventionally
-//! `callgraph.dot`); `--effects PATH` writes the inferred per-function
-//! effect table as JSON (conventionally `effects.json`); `--explain
-//! PATTERN` prints, instead of findings, the effect provenance of every
-//! function matching the entry-point pattern. `--cache` reuses per-file
-//! analysis products from `.dd-lint-cache.json` at the workspace root
-//! (and rewrites it) — findings are byte-identical to an uncached run.
+//! current directory to the nearest `dd-lint.toml`.
 //!
 //! Exit codes are a stable contract, relied on by CI:
 //!
-//! * `0` — analysis ran, no unsuppressed findings (or `--explain` ran).
+//! * `0` — analysis ran, no unsuppressed findings.
 //! * `1` — analysis ran and produced at least one finding.
 //! * `2` — the analysis could not run: usage error, unreadable tree or
-//!   `dd-lint.toml`, malformed configuration, or an unwritable output
-//!   path.
+//!   `dd-lint.toml`, or malformed configuration.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -30,20 +21,14 @@ use std::process::ExitCode;
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
-const USAGE: &str = "usage: dd-lint [--format human|json|sarif] [--emit PATH] \
-                     [--effects PATH] [--explain PATTERN] [--cache] [--root DIR]";
+const USAGE: &str = "usage: dd-lint [--format human|json] [--root DIR]";
 
 /// Parsed command line.
 struct Options {
     format: Format,
     root: Option<PathBuf>,
-    emit: Option<PathBuf>,
-    effects: Option<PathBuf>,
-    explain: Option<String>,
-    cache: bool,
 }
 
 fn main() -> ExitCode {
@@ -81,10 +66,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut opts = Options {
         format: Format::Human,
         root: None,
-        emit: None,
-        effects: None,
-        explain: None,
-        cache: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -92,26 +73,12 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--format" => match it.next().map(String::as_str) {
                 Some("human") => opts.format = Format::Human,
                 Some("json") => opts.format = Format::Json,
-                Some("sarif") => opts.format = Format::Sarif,
-                other => return Err(format!("--format expects human|json|sarif, got {other:?}")),
+                other => return Err(format!("--format expects human|json, got {other:?}")),
             },
             "--root" => match it.next() {
                 Some(dir) => opts.root = Some(PathBuf::from(dir)),
                 None => return Err("--root expects a directory".into()),
             },
-            "--emit" => match it.next() {
-                Some(path) => opts.emit = Some(PathBuf::from(path)),
-                None => return Err("--emit expects an output path (e.g. callgraph.dot)".into()),
-            },
-            "--effects" => match it.next() {
-                Some(path) => opts.effects = Some(PathBuf::from(path)),
-                None => return Err("--effects expects an output path (e.g. effects.json)".into()),
-            },
-            "--explain" => match it.next() {
-                Some(pattern) => opts.explain = Some(pattern.clone()),
-                None => return Err("--explain expects an entry-point pattern".into()),
-            },
-            "--cache" => opts.cache = true,
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unexpected argument {other:?}")),
         }
@@ -119,49 +86,19 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(opts))
 }
 
-/// Runs the analysis and side outputs; returns the process exit code.
+/// Runs the analysis and prints the findings; returns the process exit
+/// code.
 fn run(opts: &Options, root: &Path) -> u8 {
-    let analysis = if opts.cache {
-        dd_lint::analyze_tree_cached(root)
-    } else {
-        dd_lint::analyze_tree(root)
-    };
-    let analysis = match analysis {
-        Ok(analysis) => analysis,
+    let findings = match dd_lint::analyze_tree(root) {
+        Ok(findings) => findings,
         Err(err) => {
             eprintln!("dd-lint: {err}");
             return 2;
         }
     };
-    if let Some(path) = &opts.emit {
-        if let Err(e) = std::fs::write(path, analysis.callgraph_dot()) {
-            eprintln!("dd-lint: write {}: {e}", path.display());
-            return 2;
-        }
-    }
-    if let Some(path) = &opts.effects {
-        let mut json = analysis.effect_table().render_json();
-        json.push('\n');
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("dd-lint: write {}: {e}", path.display());
-            return 2;
-        }
-    }
-    if let Some(pattern) = &opts.explain {
-        print!("{}", analysis.explain(pattern));
-        return 0;
-    }
-    let findings = &analysis.findings;
-    let rendered = match opts.format {
-        Format::Human => dd_lint::render_human(findings),
-        Format::Json => dd_lint::render_json(findings),
-        Format::Sarif => {
-            dd_lint::render_sarif_with_effects(findings, Some(&analysis.effect_table()))
-        }
-    };
-    print!("{rendered}");
-    if matches!(opts.format, Format::Json | Format::Sarif) {
-        println!();
+    match opts.format {
+        Format::Human => print!("{}", dd_lint::render_human(&findings)),
+        Format::Json => println!("{}", dd_lint::render_json(&findings)),
     }
     u8::from(!findings.is_empty())
 }
@@ -188,19 +125,17 @@ mod tests {
     fn args_parse_and_reject() {
         let opts = parse_args(&[
             "--format".into(),
-            "sarif".into(),
-            "--cache".into(),
-            "--effects".into(),
-            "effects.json".into(),
+            "json".into(),
+            "--root".into(),
+            "x".into(),
         ])
         .unwrap()
         .unwrap();
-        assert!(matches!(opts.format, Format::Sarif));
-        assert!(opts.cache);
-        assert_eq!(opts.effects.as_deref(), Some(Path::new("effects.json")));
+        assert!(matches!(opts.format, Format::Json));
+        assert_eq!(opts.root.as_deref(), Some(Path::new("x")));
         assert!(parse_args(&["--help".into()]).unwrap().is_none());
         assert!(parse_args(&["--format".into()]).is_err());
-        assert!(parse_args(&["--explain".into()]).is_err());
+        assert!(parse_args(&["--format".into(), "sarif".into()]).is_err());
         assert!(parse_args(&["--bogus".into()]).is_err());
     }
 
@@ -213,10 +148,6 @@ mod tests {
         let opts = Options {
             format: Format::Human,
             root: None,
-            emit: None,
-            effects: None,
-            explain: None,
-            cache: false,
         };
 
         let config = "[rule.wall-clock]\ncrates = [\"*\"]\n";

@@ -8,11 +8,12 @@
 //! | `float-ord`       | N1 | NaN-unsafe float ordering via `partial_cmp` — require `f64::total_cmp` or `SimTime` |
 //! | `hot-path-panic`  | P1 | `panic!` / `.unwrap()` / `.expect(` in the DES event-loop hot path outside documented invariants |
 //! | `hot-path-alloc`  | P2 | `String::from` / `.to_string()` / `.clone()` / `format!` in the DES event-loop hot path — per-event allocation |
-//! | `executor-api`    | A1 | new `pub fn execute*` entry points outside the unified `Executor` trait (the deprecated shims carry inline allows) |
-//! | `policy-api`      | A3 | new `pub fn` scheduler entry points outside the `SchedulerPolicy` trait surface (graph rule — constructors and execute fns on scheduler types; the deprecated shims carry inline allows) |
 //! | `determinism-taint` | D4 | a call path from an `Executor::run` impl or experiment `run()` to a wall-clock/entropy/hash-iteration sink (graph rule — see [`crate::graph`]) |
 //! | `dead-pub-api`    | A2 | `pub` items unreachable from any bin, test, bench, or the facade (graph rule) |
+//! | `par-purity`      | E1 | a shared-mutability / nondeterminism / I/O token reachable inside a parallel fan-out (effect rule — see [`crate::effects`]) |
+//! | `effect-contract` | E2 | a function whose inferred effect exceeds its declared contract in `dd-lint.toml` (effect rule) |
 //! | `suppression`     | —  | malformed `dd-lint: allow(..)` directives (unknown rule, missing justification) |
+//! | `config`          | —  | `dd-lint.toml` patterns that match nothing in the scanned tree |
 //!
 //! `hot-path-panic` and `hot-path-alloc` run in two complementary modes:
 //! every file listed under `files` in `dd-lint.toml` is still token-checked
@@ -44,13 +45,10 @@ pub const RULE_NAMES: &[&str] = &[
     "float-ord",
     "hot-path-panic",
     "hot-path-alloc",
-    "executor-api",
-    "policy-api",
     "determinism-taint",
     "dead-pub-api",
     "par-purity",
     "effect-contract",
-    "recursive-effect-cycle",
 ];
 
 /// Rule violated by malformed suppression directives themselves. Not
@@ -184,11 +182,11 @@ pub(crate) const IO_TOKENS: &[&str] = &[
 /// 1-based Unicode code-point column of byte offset `at` in `code`.
 ///
 /// [`find_tokens`] returns byte offsets; on lines holding multi-byte
-/// characters (non-ASCII identifiers or comments) a byte column neither
-/// matches what editors display nor SARIF's `unicodeCodePoints` column
-/// kind, so every emitted span converts through here. The scanner blanks
-/// literals one space per *character*, keeping code-point columns (but
-/// not byte columns) aligned with the original source.
+/// characters (non-ASCII identifiers or comments) a byte column does not
+/// match what editors display, so every emitted span converts through
+/// here. The scanner blanks literals one space per *character*, keeping
+/// code-point columns (but not byte columns) aligned with the original
+/// source.
 pub(crate) fn char_column(code: &str, at: usize) -> usize {
     code[..at].chars().count() + 1
 }
@@ -216,7 +214,6 @@ pub fn check_file(
     let float_scope = in_scope("float-ord");
     let panic_scope = in_files("hot-path-panic");
     let alloc_scope = in_files("hot-path-alloc");
-    let api_scope = in_scope("executor-api");
 
     for (idx, line) in classified.lines.iter().enumerate() {
         if line.in_test {
@@ -339,28 +336,6 @@ pub fn check_file(
                              the allocation out of the per-event path (scratch buffer, \
                              integer id, arena) or suppress with a documented \
                              justification for once-per-run sites"
-                        ),
-                    );
-                }
-            }
-        }
-
-        if api_scope {
-            // A plain token search for "pub fn execute" would miss
-            // `execute_traced` (the `_` extends the identifier past the
-            // token boundary), so match "pub fn" and inspect the
-            // following identifier instead.
-            for col in find_tokens(code, "pub fn") {
-                let rest = code[col + "pub fn".len()..].trim_start();
-                let ident: String = rest.chars().take_while(|c| is_ident(*c)).collect();
-                if ident.starts_with("execute") {
-                    emit(
-                        "executor-api",
-                        col,
-                        format!(
-                            "`pub fn {ident}` adds a public execute entry point outside \
-                             the unified Executor trait; implement Executor::run (or \
-                             extend RunRequest) instead"
                         ),
                     );
                 }
@@ -527,8 +502,7 @@ mod tests {
              [rule.rng-seed]\ncrates = [\"*\"]\n\
              [rule.float-ord]\ncrates = [\"*\"]\n\
              [rule.hot-path-panic]\nfiles = [\"x.rs\"]\n\
-             [rule.hot-path-alloc]\nfiles = [\"x.rs\"]\n\
-             [rule.executor-api]\ncrates = [\"*\"]\n",
+             [rule.hot-path-alloc]\nfiles = [\"x.rs\"]\n",
         )
         .expect("static config")
     }
@@ -678,35 +652,6 @@ mod tests {
     #[test]
     fn dd_invariant_macros_not_flagged_as_panics() {
         assert!(lint("dd_invariant!(a <= b, \"clock\");\ndd_debug_invariant!(ok);\n").is_empty());
-    }
-
-    #[test]
-    fn new_pub_execute_entry_points_flagged() {
-        let f = lint("pub fn execute_fancy(&self) -> RunOutcome {\n");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "executor-api");
-        assert!(f[0].message.contains("execute_fancy"), "{}", f[0].message);
-        // `execute` itself (the shim name) is also an execute* entry point.
-        assert_eq!(lint("pub fn execute(&self) {\n")[0].rule, "executor-api");
-    }
-
-    #[test]
-    fn non_execute_pub_fns_and_private_execute_fns_not_flagged() {
-        assert!(lint("pub fn run(&mut self, req: RunRequest) {\n").is_empty());
-        assert!(lint("fn execute_inner(&self) {\n").is_empty());
-        assert!(lint("pub fn executor_name(&self) -> &str {\n").is_empty());
-        assert_eq!(
-            lint("pub fn executed_count(&self) -> usize {\n").len(),
-            1,
-            "execute* is a prefix match by design: `executed_count` is flagged too"
-        );
-    }
-
-    #[test]
-    fn execute_shim_suppression_accepted() {
-        let src = "// dd-lint: allow(executor-api): fixture justification\n\
-                   pub fn execute(&self) {\n";
-        assert!(lint(src).is_empty());
     }
 
     #[test]

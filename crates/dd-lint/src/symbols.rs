@@ -57,13 +57,6 @@ pub(crate) struct Call {
     /// Path segments before the name (`Foo::bar(` → `["Foo"]`), empty for
     /// plain and method calls.
     pub quals: Vec<String>,
-    /// A method call on a receiver other than `self` (`other.run(`,
-    /// `iter().map(`). Name resolution can't see the receiver's type, so
-    /// these are the least trustworthy edges: they stay in the call graph
-    /// (over-approximation keeps reachability rules strict) but are
-    /// excluded from recursion-cycle detection, where a same-named
-    /// foreign dispatch would fabricate cycles out of thin air.
-    pub foreign_method: bool,
 }
 
 /// A pre-located rule-token hit inside a function body.
@@ -82,8 +75,6 @@ pub(crate) struct FnDef {
     pub name: String,
     /// 1-based header line.
     pub line: usize,
-    /// 1-based last body line (header line for bodiless trait methods).
-    pub end_line: usize,
     /// Unrestricted `pub`.
     pub is_pub: bool,
     /// `#[deprecated]` — exempt from `dead-pub-api`.
@@ -263,7 +254,6 @@ pub(crate) fn extract_file(rel_path: &str, crate_name: &str, classified: &Classi
                         fm.fns.push(FnDef {
                             name,
                             line: lineno,
-                            end_line: lineno,
                             is_pub,
                             exempt,
                             module,
@@ -458,13 +448,7 @@ pub(crate) fn extract_file(rel_path: &str, crate_name: &str, classified: &Classi
                 '}' => {
                     depth -= 1;
                     if scopes.last().is_some_and(|s| s.close_depth == depth) {
-                        if let Some(Scope {
-                            kind: ScopeKind::Fn { idx },
-                            ..
-                        }) = scopes.pop()
-                        {
-                            fm.fns[idx].end_line = lineno;
-                        }
+                        scopes.pop();
                     }
                 }
                 ';' if pending.as_ref().is_some_and(|p| p.nest <= 0) => {
@@ -852,14 +836,9 @@ fn extract_calls(code: &str, out: &mut Vec<Call>) {
             quals.insert(0, seg.to_string());
             upto = s;
         }
-        let before = &code[..start];
-        let self_receiver = before
-            .strip_suffix("self.")
-            .is_some_and(|b| !b.ends_with(is_ident));
         out.push(Call {
             name: ident.to_string(),
             quals,
-            foreign_method: before.ends_with('.') && !self_receiver,
         });
     }
 }
@@ -902,10 +881,7 @@ mod tests {
         let fm = extract("pub fn alpha(x: Widget) -> Gear {\n    beta(x);\n    x.gamma()\n}\n");
         assert_eq!(fm.fns.len(), 1);
         let f = &fm.fns[0];
-        assert_eq!(
-            (f.name.as_str(), f.line, f.end_line, f.is_pub),
-            ("alpha", 1, 4, true)
-        );
+        assert_eq!((f.name.as_str(), f.line, f.is_pub), ("alpha", 1, true));
         assert!(f.refs.contains("Widget") && f.refs.contains("Gear"));
         assert!(!f.refs.contains("alpha"), "own name excluded: {:?}", f.refs);
         let calls: Vec<&str> = f.calls.iter().map(|c| c.name.as_str()).collect();
@@ -943,29 +919,6 @@ mod tests {
             !fm.top_refs.contains("DesFaasExecutor"),
             "{:?}",
             fm.top_refs
-        );
-    }
-
-    #[test]
-    fn method_receivers_classify_foreign_vs_self() {
-        let src = "impl W {\n    fn go(&self) {\n        self.local();\n        other.remote();\n        free();\n        herself.trick();\n    }\n}\n";
-        let fm = extract(src);
-        let calls: Vec<(&str, bool)> = fm.fns[0]
-            .calls
-            .iter()
-            .map(|c| (c.name.as_str(), c.foreign_method))
-            .collect();
-        // `self.local()` stays a cycle-eligible call; `other.remote()`
-        // is a foreign method; `herself.` ends in `self` but the longer
-        // identifier must not be mistaken for the receiver keyword.
-        assert_eq!(
-            calls,
-            [
-                ("local", false),
-                ("remote", true),
-                ("free", false),
-                ("trick", true),
-            ]
         );
     }
 
@@ -1055,7 +1008,6 @@ mod tests {
         let src = "pub fn long(\n    a: Alpha,\n    b: Beta,\n) -> Gamma {\n    a.go()\n}\nimpl<S: Sched>\n    Pool<S>\n{\n    fn drain(&mut self) {}\n}\n";
         let fm = extract(src);
         assert_eq!(fm.fns[0].name, "long");
-        assert_eq!(fm.fns[0].end_line, 6);
         assert!(fm.fns[0].refs.contains("Alpha") && fm.fns[0].refs.contains("Beta"));
         assert_eq!(fm.fns[1].name, "drain");
         assert_eq!(fm.fns[1].impl_type.as_deref(), Some("Pool"));

@@ -1,15 +1,10 @@
-//! Fixture-driven tests of the v3 effect-inference rules (`par-purity`,
-//! `effect-contract`, `recursive-effect-cycle`): one deny and one
-//! justified-allow fixture each, a non-ASCII fixture pinning code-point
-//! columns, `--explain` provenance, workspace-clean gates running each
-//! rule alone over the real tree with its production scoping from
-//! `dd-lint.toml`, and the incremental-cache contract (warm runs are
-//! byte-identical to cold, including after touching one file).
+//! Fixture-driven tests of the effect-inference rules (`par-purity`,
+//! `effect-contract`): one deny and one justified-allow fixture each, a
+//! non-ASCII fixture pinning code-point columns, and workspace-clean
+//! gates running each rule alone over the real tree with its production
+//! scoping from `dd-lint.toml`.
 
-use dd_lint::{
-    analyze_sources, analyze_tree, analyze_tree_cached, analyze_tree_with_config,
-    render_sarif_with_effects, Analysis, Config, Finding,
-};
+use dd_lint::{analyze_sources, analyze_tree_with_config, Config, Finding};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -20,7 +15,7 @@ fn fixture(name: &str) -> String {
         .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()))
 }
 
-fn analyze(files: &[(&str, &str)], config: &str) -> Analysis {
+fn analyze(files: &[(&str, &str)], config: &str) -> Vec<Finding> {
     let config = Config::parse(config).expect("test config parses");
     analyze_sources(files, &[], &config)
 }
@@ -33,8 +28,7 @@ fn par_purity_denies_effectful_fanned_out_callee() {
     let f = analyze(
         &[("crates/simfix/src/par_purity_deny.rs", &src)],
         PURITY_CONFIG,
-    )
-    .findings;
+    );
     assert_eq!(f.len(), 1, "{f:#?}");
     assert_eq!(f[0].rule, "par-purity");
     assert_eq!(f[0].line, 19);
@@ -62,8 +56,7 @@ fn par_purity_justified_allow_is_silent() {
     let f = analyze(
         &[("crates/simfix/src/par_purity_allow.rs", &src)],
         PURITY_CONFIG,
-    )
-    .findings;
+    );
     assert!(f.is_empty(), "{f:#?}");
 }
 
@@ -76,8 +69,7 @@ fn effect_contract_denies_silent_strengthening() {
     let f = analyze(
         &[("crates/simfix/src/contract_deny.rs", &src)],
         CONTRACT_CONFIG,
-    )
-    .findings;
+    );
     assert_eq!(f.len(), 1, "{f:#?}");
     assert_eq!(f[0].rule, "effect-contract");
     assert_eq!((f[0].line, f[0].column), (9, 1));
@@ -102,65 +94,19 @@ fn effect_contract_justified_allow_is_silent() {
     let f = analyze(
         &[("crates/simfix/src/contract_allow.rs", &src)],
         CONTRACT_CONFIG,
-    )
-    .findings;
+    );
     assert!(f.is_empty(), "{f:#?}");
 }
 
-const CYCLE_CONFIG: &str = "[rule.recursive-effect-cycle]\ncrates = [\"*\"]\n";
-
-#[test]
-fn recursive_effect_cycle_denies_nondet_scc() {
-    let src = fixture("cycle_deny.rs");
-    let f = analyze(&[("crates/simfix/src/cycle_deny.rs", &src)], CYCLE_CONFIG).findings;
-    assert_eq!(f.len(), 1, "{f:#?}");
-    assert_eq!(f[0].rule, "recursive-effect-cycle");
-    assert!(
-        f[0].message
-            .contains("{cycle_deny::tick <-> cycle_deny::tock}"),
-        "{}",
-        f[0].message
-    );
-    assert!(f[0].message.contains("`nondet(rng)`"), "{}", f[0].message);
-}
-
-#[test]
-fn recursive_effect_cycle_justified_allow_is_silent() {
-    let src = fixture("cycle_allow.rs");
-    let f = analyze(&[("crates/simfix/src/cycle_allow.rs", &src)], CYCLE_CONFIG).findings;
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn explain_renders_provenance_to_the_witness_token() {
-    let src = fixture("contract_deny.rs");
-    let analysis = analyze(
-        &[("crates/simfix/src/contract_deny.rs", &src)],
-        CONTRACT_CONFIG,
-    );
-    let out = analysis.explain("Planner::plan");
-    assert!(
-        out.contains("Planner::plan (crates/simfix/src/contract_deny.rs:9) — effect nondet(time)"),
-        "{out}"
-    );
-    assert!(
-        out.contains("via Planner::plan -> contract_deny::stamp (`Instant::now`"),
-        "{out}"
-    );
-    assert!(analysis.explain("NoSuchFn").contains("no function matches"));
-}
-
-/// Non-ASCII fixture: the finding column and the SARIF `startColumn` are
-/// 1-based Unicode code points, not bytes — the umlauts before the token
-/// make the two diverge.
+/// Non-ASCII fixture: the finding column is a 1-based Unicode code point,
+/// not a byte offset — the umlauts before the token make the two diverge.
 #[test]
 fn non_ascii_columns_are_code_points() {
     let src = fixture("unicode_columns.rs");
     let f = analyze(
         &[("crates/simfix/src/unicode_columns.rs", &src)],
         "[rule.wall-clock]\ncrates = [\"*\"]\n",
-    )
-    .findings;
+    );
     assert_eq!(f.len(), 1, "{f:#?}");
     let line = src.lines().nth(f[0].line - 1).unwrap();
     let byte_at = line.find("Instant::now").unwrap();
@@ -170,15 +116,6 @@ fn non_ascii_columns_are_code_points() {
         "fixture must contain multibyte chars"
     );
     assert_eq!(f[0].column, char_col, "{f:#?}");
-    let sarif = render_sarif_with_effects(&f, None);
-    assert!(
-        sarif.contains(&format!("\"startColumn\":{char_col}")),
-        "{sarif}"
-    );
-    assert!(
-        sarif.contains("\"columnKind\":\"unicodeCodePoints\""),
-        "{sarif}"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -195,9 +132,7 @@ fn workspace_root() -> std::path::PathBuf {
 
 fn workspace_findings(config: &str) -> Vec<Finding> {
     let config = Config::parse(config).expect("workspace config parses");
-    analyze_tree_with_config(&workspace_root(), &config)
-        .expect("analyze_tree runs")
-        .findings
+    analyze_tree_with_config(&workspace_root(), &config).expect("analyze_tree runs")
 }
 
 #[test]
@@ -214,77 +149,4 @@ fn workspace_clean_under_effect_contract() {
         "[rule.effect-contract]\ncrates = [\"*\"]\ncontracts = [\"Executor::run = shared-mut\", \"dd-platform::traffic::arrivals = pure\", \"dd-stats::fit::fit_weibull_grid = pure\", \"dd-stats::incremental::moments_centered_grid_fit_memo = shared-mut\", \"dd-platform::FrontDoor::serve = panic\"]\n",
     );
     assert!(f.is_empty(), "workspace breaks an effect contract:\n{f:#?}");
-}
-
-#[test]
-fn workspace_clean_under_recursive_effect_cycle() {
-    let f = workspace_findings("[rule.recursive-effect-cycle]\ncrates = [\"*\"]\n");
-    assert!(
-        f.is_empty(),
-        "workspace has a nondet recursion cycle:\n{f:#?}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Incremental cache: cold and warm runs over a temp tree are
-// byte-identical (findings, SARIF, effects.json), including after
-// touching one file.
-// ---------------------------------------------------------------------
-
-/// Every observable byte of one analysis, concatenated.
-fn report_bytes(a: &Analysis) -> String {
-    let table = a.effect_table();
-    let text: String = a.findings.iter().map(|f| format!("{f}\n")).collect();
-    format!(
-        "{text}\n{}\n{}",
-        render_sarif_with_effects(&a.findings, Some(&table)),
-        table.render_json()
-    )
-}
-
-#[test]
-fn cache_warm_run_is_byte_identical_to_cold() {
-    let root = std::env::temp_dir().join("dd-lint-cache-int");
-    std::fs::remove_dir_all(&root).ok();
-    std::fs::create_dir_all(root.join("crates/alpha/src")).unwrap();
-    std::fs::create_dir_all(root.join("crates/beta/src")).unwrap();
-    std::fs::write(
-        root.join(dd_lint::CONFIG_FILE),
-        "[rule.wall-clock]\ncrates = [\"*\"]\n",
-    )
-    .unwrap();
-    std::fs::write(
-        root.join("crates/alpha/src/lib.rs"),
-        "pub fn steady() -> u64 {\n    41\n}\n",
-    )
-    .unwrap();
-    let beta_v1 = "pub fn stamp() -> u64 {\n    let t = std::time::Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n";
-    std::fs::write(root.join("crates/beta/src/lib.rs"), beta_v1).unwrap();
-
-    let cold = analyze_tree_cached(&root).expect("cold run");
-    assert!(
-        root.join(dd_lint::cache::CACHE_FILE).is_file(),
-        "cold run must write the cache"
-    );
-    let warm = analyze_tree_cached(&root).expect("warm run");
-    let uncached = analyze_tree(&root).expect("uncached run");
-    assert_eq!(cold.findings.len(), 1, "{:#?}", cold.findings);
-    assert_eq!(report_bytes(&cold), report_bytes(&warm));
-    assert_eq!(report_bytes(&warm), report_bytes(&uncached));
-
-    // Touch one file: beta gains a second wall-clock read. The warm run
-    // reuses alpha's entry, re-scans beta, and still matches a fresh
-    // uncached analysis byte for byte.
-    let beta_v2 = "pub fn stamp() -> u64 {\n    let t = std::time::Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n\npub fn stamp_again() -> u64 {\n    let t = std::time::Instant::now();\n    t.elapsed().as_nanos() as u64\n}\n";
-    std::fs::write(root.join("crates/beta/src/lib.rs"), beta_v2).unwrap();
-    let warm_touched = analyze_tree_cached(&root).expect("warm run after touch");
-    let uncached_touched = analyze_tree(&root).expect("uncached run after touch");
-    assert_eq!(
-        warm_touched.findings.len(),
-        2,
-        "{:#?}",
-        warm_touched.findings
-    );
-    assert_eq!(report_bytes(&warm_touched), report_bytes(&uncached_touched));
-    std::fs::remove_dir_all(&root).ok();
 }

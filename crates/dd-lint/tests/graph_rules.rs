@@ -1,4 +1,4 @@
-//! Fixture-driven tests for the v2 graph rules. Each reachability rule
+//! Fixture-driven tests for the graph rules. Each reachability rule
 //! (`determinism-taint`, `hot-path-panic`, `hot-path-alloc`) has one
 //! deny and one justified-allow fixture; `dead-pub-api` has a liveness
 //! fixture covering bin, reference-file, and suppression roots. The
@@ -18,7 +18,7 @@ fn fixture(name: &str) -> String {
 
 fn analyze(files: &[(&str, &str)], reference: &[&str], config: &str) -> Vec<Finding> {
     let config = Config::parse(config).expect("test config parses");
-    analyze_sources(files, reference, &config).findings
+    analyze_sources(files, reference, &config)
 }
 
 const TAINT_CONFIG: &str =
@@ -153,51 +153,6 @@ fn dead_pub_api_bin_reference_and_allow_roots() {
     );
 }
 
-#[test]
-fn policy_api_denies_out_of_trait_scheduler_entry_points() {
-    let src = fixture("policy_api_deny.rs");
-    let f = analyze(
-        &[("crates/dd-baselines/src/fancy.rs", &src)],
-        &[],
-        "[rule.policy-api]\ncrates = [\"dd-baselines\", \"core\"]\n",
-    );
-    let spans: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.rule.as_str())).collect();
-    // `new`, `from_trace`, and the free `execute_fancy` are findings;
-    // `pool_size` and the SchedulerPolicy::build impl are not.
-    assert_eq!(
-        spans,
-        vec![(7, "policy-api"), (11, "policy-api"), (20, "policy-api")],
-        "{f:#?}"
-    );
-    assert!(
-        f[0].message.contains("FancyScheduler::new") && f[0].message.contains("SchedulerPolicy"),
-        "{}",
-        f[0].message
-    );
-}
-
-#[test]
-fn policy_api_justified_allow_is_silent() {
-    let src = fixture("policy_api_allow.rs");
-    let f = analyze(
-        &[("crates/dd-baselines/src/fancy.rs", &src)],
-        &[],
-        "[rule.policy-api]\ncrates = [\"dd-baselines\", \"core\"]\n",
-    );
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn callgraph_dot_is_exposed_through_analysis() {
-    let src = fixture("panic_deny.rs");
-    let config = Config::parse(PANIC_CONFIG).expect("config parses");
-    let analysis = analyze_sources(&[("crates/simfix/src/panic_deny.rs", &src)], &[], &config);
-    let dot = analysis.callgraph_dot();
-    assert!(dot.starts_with("digraph callgraph {"), "{dot}");
-    assert!(dot.contains("Des::pop_loop"), "{dot}");
-    assert!(dot.contains("->"), "{dot}");
-}
-
 // ---------------------------------------------------------------------
 // Workspace-clean gates: each graph rule, alone, with its production
 // scoping from `dd-lint.toml`, over the real tree.
@@ -209,9 +164,7 @@ fn workspace_findings(config: &str) -> Vec<Finding> {
         .canonicalize()
         .expect("workspace root resolves");
     let config = Config::parse(config).expect("workspace config parses");
-    analyze_tree_with_config(&root, &config)
-        .expect("analyze_tree runs")
-        .findings
+    analyze_tree_with_config(&root, &config).expect("analyze_tree runs")
 }
 
 #[test]
@@ -242,13 +195,4 @@ fn workspace_clean_under_graph_hot_path_alloc() {
 fn workspace_clean_under_dead_pub_api() {
     let f = workspace_findings("[rule.dead-pub-api]\ncrates = [\"*\"]\n");
     assert!(f.is_empty(), "workspace has dead pub API:\n{f:#?}");
-}
-
-#[test]
-fn workspace_clean_under_policy_api() {
-    let f = workspace_findings("[rule.policy-api]\ncrates = [\"dd-baselines\", \"core\"]\n");
-    assert!(
-        f.is_empty(),
-        "workspace has out-of-trait policy API:\n{f:#?}"
-    );
 }

@@ -1,8 +1,13 @@
 //! Fixture-driven self-tests: one positive and one suppressed case per
-//! rule, exact `file:line:rule` spans, JSON schema stability, and a
-//! clean-tree check over the real workspace.
+//! rule, exact `file:line:rule` spans, JSON schema stability, the CI
+//! problem matcher's rule list, and a clean-tree check over the real
+//! workspace.
 
-use dd_lint::{lint_source, lint_tree, render_json, Config, Finding};
+use dd_lint::{
+    analyze_tree, lint_source, render_json, Config, Finding, CONFIG_RULE, RULE_NAMES,
+    SUPPRESSION_RULE,
+};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Scoping used for the fixtures: file-scoped rules pin down exactly
@@ -20,8 +25,6 @@ crates = ["*"]
 files = ["hot_path_positive.rs", "hot_path_suppressed.rs"]
 [rule.hot-path-alloc]
 files = ["alloc_positive.rs", "alloc_suppressed.rs"]
-[rule.executor-api]
-files = ["executor_api_positive.rs", "executor_api_suppressed.rs"]
 "#;
 
 fn lint_fixture(name: &str) -> Vec<Finding> {
@@ -159,22 +162,6 @@ fn hot_path_alloc_suppressed() {
 }
 
 #[test]
-fn executor_api_positive() {
-    let findings = lint_fixture("executor_api_positive.rs");
-    assert_eq!(
-        spans(&findings),
-        owned(&[(3, "executor-api"), (6, "executor-api")]),
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn executor_api_suppressed() {
-    let findings = lint_fixture("executor_api_suppressed.rs");
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
 fn malformed_suppressions_are_findings() {
     let findings = lint_fixture("bad_suppression.rs");
     assert_eq!(
@@ -220,6 +207,30 @@ fn json_schema_is_stable() {
     assert!(json.contains("\"line\":6,"));
 }
 
+/// The CI problem matcher turns `file:line:column: [rule] message` lines
+/// into PR annotations, but only for the rule ids its regex lists. Every
+/// rule dd-lint can emit must be there, and nothing else.
+#[test]
+fn problem_matcher_lists_exactly_the_emitted_rules() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.github/dd-lint-matcher.json");
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let start = text
+        .find("[(")
+        .expect("matcher regex has a `[(` rule group")
+        + 2;
+    let len = text[start..].find(')').expect("rule group is closed");
+    let listed: Vec<&str> = text[start..start + len].split('|').collect();
+    let listed_set: BTreeSet<&str> = listed.iter().copied().collect();
+    assert_eq!(listed.len(), listed_set.len(), "duplicate ids: {listed:?}");
+    let emitted: BTreeSet<&str> = RULE_NAMES
+        .iter()
+        .copied()
+        .chain([SUPPRESSION_RULE, CONFIG_RULE])
+        .collect();
+    assert_eq!(listed_set, emitted);
+}
+
 #[test]
 fn workspace_tree_is_clean() {
     // The acceptance gate: the real tree (this repo) has no unsuppressed
@@ -233,7 +244,7 @@ fn workspace_tree_is_clean() {
         "dd-lint.toml missing at {}",
         root.display()
     );
-    let findings = lint_tree(&root).expect("lint_tree runs");
+    let findings = analyze_tree(&root).expect("analyze_tree runs");
     assert!(
         findings.is_empty(),
         "workspace not lint-clean:\n{findings:#?}"

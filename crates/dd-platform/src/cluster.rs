@@ -259,7 +259,6 @@ impl ClusterSim {
     /// makespan (the paper's Pegasus cost model: "the cost of renting the
     /// entire cluster of nodes … at all times all the nodes of the cluster
     /// are active").
-    // dd-lint: allow(executor-api): ClusterSim is the Pegasus baseline substrate, not a serverless executor; the unified Executor trait covers the FaaS paths only
     pub fn execute_run(&self, run: &WorkflowRun, runtimes: &[LanguageRuntime]) -> RunOutcome {
         let mut now = SimTime::ZERO;
         let mut records = Vec::with_capacity(run.phases.len());

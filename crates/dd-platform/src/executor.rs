@@ -3,8 +3,7 @@
 //! Both executors ([`crate::faas::FaasExecutor`] analytic,
 //! [`crate::faas_des::DesFaasExecutor`] event-driven) implement the one
 //! [`Executor`] trait; callers build a [`RunRequest`] and get back a
-//! [`RunReport`]. dd-lint's `executor-api` rule blocks adding other
-//! `execute*` entry points.
+//! [`RunReport`].
 //!
 //! The request is passed **by value**, not by reference: it carries the
 //! `&mut` scheduler and recorder borrows for the duration of the run, so
