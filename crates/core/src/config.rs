@@ -9,10 +9,8 @@
 //! * equal weights on normalized service time and cost ("DayDream gives
 //!   equal weight … but it can be easily modified").
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable parameters of the DayDream scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayDreamConfig {
     /// Phases between Weibull re-fits (the paper's `p_int`).
     pub phase_interval: usize,

@@ -10,10 +10,9 @@
 use crate::predictor::fit_historic;
 use dd_stats::Weibull;
 use dd_wfdag::WorkflowRun;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated knowledge about a workflow across runs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DayDreamHistory {
     weibull: Option<Weibull>,
     friendly_sum: f64,

@@ -21,10 +21,9 @@
 use dd_platform::pricing::PriceSheet;
 use dd_platform::{InstanceView, Placement, SimTime, StartupModel, Tier};
 use dd_wfdag::{ComponentInstance, LanguageRuntime, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Weights of the joint objective (paper default: equal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectiveWeights {
     /// Weight on normalized service time.
     pub time: f64,

@@ -18,10 +18,9 @@ use crate::config::DayDreamConfig;
 use dd_stats::incremental::moments_centered_grid_fit_memo;
 use dd_stats::{Histogram, SeedStream, Weibull};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// The dynamic Weibull predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeibullPredictor {
     /// Historic parameters (α_h, β_h).
     historic: Weibull,
@@ -42,15 +41,7 @@ pub struct WeibullPredictor {
     phase_interval: usize,
     /// Grid resolution for re-fits.
     grid_steps: usize,
-    #[serde(skip, default = "default_rng")]
     rng: StdRng,
-}
-
-// Referenced by the `#[serde(default)]` attribute above; the offline
-// no-op serde derive does not expand it, so it is also kept callable.
-#[allow(dead_code)]
-pub(crate) fn default_rng() -> StdRng {
-    SeedStream::new(0).rng()
 }
 
 impl WeibullPredictor {

@@ -7,10 +7,8 @@
 //! the phase before it: `N·F_{p−1}` high-end and `N·(1 − F_{p−1})` low-end
 //! instances (Algorithm 1, lines 5–6).
 
-use serde::{Deserialize, Serialize};
-
 /// Tracks the observed high-end-friendly fraction phase to phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FriendlyTracker {
     /// Fraction observed in the most recent phase (F_{p−1}).
     fraction: f64,

@@ -1,148 +1,4 @@
-//! Macro-benchmark harness behind `dd-bench bench`.
-//!
-//! Each workload runs in-process, reads the [`dd_platform::counters`]
-//! throughput counters around the run, and serializes one
-//! `BENCH_<name>.json` artifact recording simulated component-starts/sec,
-//! DES events/sec, peak RSS, and wall time. The committed artifacts track
-//! the performance trajectory of the DES hot path across PRs: the
-//! `report` workload embeds the pre-overhaul baseline measured on the
-//! same reference machine, so the file itself states the speedup.
-//!
-//! serde is the offline no-op stub in this workspace, so the JSON is
-//! hand-rolled (same approach as `dd_obs::export`). The schema is flat on
-//! purpose — CI's bench-smoke job validates it with nothing but
-//! `python3 -c "json.load(...)"` plus key checks.
-
-use crate::figures;
-use crate::workloads::ExperimentContext;
-use daydream_core::{DayDreamConfig, DayDreamScheduler};
-use dd_platform::counters;
-use dd_platform::{DesFaasExecutor, DesSession, FaasConfig, RadixEventQueue, RunRequest, SimTime};
-use dd_stats::SeedStream;
-use dd_wfdag::Workflow;
-use std::time::Instant;
-
-/// Schema tag written into every artifact; bump on breaking changes.
-pub const SCHEMA: &str = "dd-bench/v1";
-
-/// The pre-overhaul full-report baseline on the reference machine
-/// (single-core container, `report` with no arguments, release build):
-/// wall time and peak RSS as measured immediately before the DES hot-path
-/// overhaul landed. `BENCH_report.json` embeds it so the committed
-/// artifact documents the speedup without external context.
-pub const REPORT_BASELINE: Baseline = Baseline {
-    wall_secs: 96.369,
-    max_rss_kb: 75_900,
-};
-
-/// A reference measurement to compare a workload against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Baseline {
-    /// Wall-clock seconds of the baseline run.
-    pub wall_secs: f64,
-    /// Peak RSS (VmHWM) of the baseline run, in KiB.
-    pub max_rss_kb: u64,
-}
-
-/// One workload's measured result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchResult {
-    /// Workload name (also the artifact suffix: `BENCH_<name>.json`).
-    pub name: String,
-    /// Wall-clock seconds of the measured run.
-    pub wall_secs: f64,
-    /// Simulated serverless component starts during the run.
-    pub component_starts: u64,
-    /// DES events popped during the run.
-    pub des_events: u64,
-    /// Peak RSS (VmHWM) after the run, in KiB; 0 where unavailable.
-    pub peak_rss_kb: u64,
-    /// Baseline to compare against, if one is on record.
-    pub baseline: Option<Baseline>,
-    /// Workload-specific extra fields appended to the JSON object:
-    /// `(key, pre-rendered JSON value)`. Empty for the classic workloads,
-    /// so their artifacts keep the original fixed key set.
-    pub extras: Vec<(String, String)>,
-}
-
-impl BenchResult {
-    /// Simulated component starts per wall-clock second.
-    pub fn starts_per_sec(&self) -> f64 {
-        per_sec(self.component_starts, self.wall_secs)
-    }
-
-    /// DES events popped per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        per_sec(self.des_events, self.wall_secs)
-    }
-
-    /// Wall-clock speedup over the embedded baseline, if any.
-    pub fn speedup(&self) -> Option<f64> {
-        self.baseline
-            .filter(|_| self.wall_secs > 0.0)
-            .map(|b| b.wall_secs / self.wall_secs)
-    }
-
-    /// Serializes the result as one flat JSON object (hand-rolled; serde
-    /// is stubbed offline). Baseline fields are `null` when absent so the
-    /// schema has a fixed key set.
-    pub fn to_json(&self) -> String {
-        let (base_wall, base_rss, speedup) = match self.baseline {
-            Some(b) => (
-                json_f64(b.wall_secs),
-                b.max_rss_kb.to_string(),
-                self.speedup().map_or_else(|| "null".into(), json_f64),
-            ),
-            None => ("null".into(), "null".into(), "null".into()),
-        };
-        let extras: String = self
-            .extras
-            .iter()
-            .map(|(k, v)| format!(",\n  \"{k}\": {v}"))
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"{}\",\n  \"name\": \"{}\",\n  \"wall_secs\": {},\n  \
-             \"component_starts\": {},\n  \"des_events\": {},\n  \
-             \"component_starts_per_sec\": {},\n  \"des_events_per_sec\": {},\n  \
-             \"peak_rss_kb\": {},\n  \"baseline_wall_secs\": {},\n  \
-             \"baseline_max_rss_kb\": {},\n  \"speedup_vs_baseline\": {}{extras}\n}}\n",
-            SCHEMA,
-            self.name,
-            json_f64(self.wall_secs),
-            self.component_starts,
-            self.des_events,
-            json_f64(self.starts_per_sec()),
-            json_f64(self.events_per_sec()),
-            self.peak_rss_kb,
-            base_wall,
-            base_rss,
-            speedup,
-        )
-    }
-
-    /// The artifact filename for this workload.
-    pub fn artifact_name(&self) -> String {
-        format!("BENCH_{}.json", self.name)
-    }
-}
-
-fn per_sec(count: u64, wall: f64) -> f64 {
-    if wall > 0.0 {
-        count as f64 / wall
-    } else {
-        0.0
-    }
-}
-
-/// Formats an f64 as a JSON number (finite, fixed precision; JSON has no
-/// NaN/Inf, so those degrade to 0).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.000000".into()
-    }
-}
+//! Process measurements for the repository benchmark (`perf`).
 
 /// Peak RSS of this process in KiB, from `/proc/self/status` `VmHWM`
 /// (Linux). Returns 0 where the proc file is unavailable.
@@ -158,350 +14,9 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Times `work` and packages the result with the counter deltas it
-/// produced.
-fn measure(name: &str, baseline: Option<Baseline>, work: impl FnOnce()) -> BenchResult {
-    let before = counters::snapshot();
-    // dd-lint: allow(wall-clock, determinism-taint, par-purity): the bench harness measures real wall time by design; nothing feeds back into simulation state
-    let start = Instant::now();
-    work();
-    let wall_secs = start.elapsed().as_secs_f64();
-    let delta = counters::snapshot().since(before);
-    BenchResult {
-        name: name.to_string(),
-        wall_secs,
-        component_starts: delta.component_starts,
-        des_events: delta.des_events,
-        peak_rss_kb: peak_rss_kb(),
-        baseline,
-        extras: Vec::new(),
-    }
-}
-
-/// Benchmarks the full paper report (every figure plus ablations) at the
-/// given context, in-process. This is the headline workload: its artifact
-/// embeds [`REPORT_BASELINE`] when run at paper scale so the committed
-/// file states the measured speedup.
-pub fn bench_report(ctx: &ExperimentContext, with_baseline: bool) -> BenchResult {
-    let mut rendered = 0usize;
-    let result = measure("report", with_baseline.then_some(REPORT_BASELINE), || {
-        rendered = figures::render_full_report(ctx).len();
-    });
-    assert!(rendered > 0, "report rendered empty");
-    result
-}
-
-/// Benchmarks a DES replay of one science workflow's DAGs: `runs`
-/// generated runs executed on the event-driven executor under the
-/// DayDream scheduler (history learned on the dedicated training run,
-/// exactly as the evaluation figures do).
-pub fn bench_workflow_des(ctx: &ExperimentContext, workflow: Workflow, runs: usize) -> BenchResult {
-    let gen = ctx.generator(workflow);
-    let runtimes = gen.spec().runtimes.clone();
-    let history = ctx.history(workflow);
-    let executor = DesFaasExecutor::new(FaasConfig {
-        vendor: ctx.vendor,
-        ..FaasConfig::default()
-    });
-    let mut session = DesSession::new();
-    let name = workflow_slug(workflow);
-    measure(&name, None, || {
-        let mut total = 0.0;
-        for run_index in 0..runs {
-            let run = gen.generate(run_index);
-            let seeds = SeedStream::new(ctx.seed)
-                .derive("scheduler")
-                .derive_index(run_index as u64);
-            let mut scheduler =
-                DayDreamScheduler::new(&history, DayDreamConfig::default(), ctx.vendor, seeds);
-            let report = executor.run_with(
-                &mut session,
-                RunRequest::new(&run, &runtimes, &mut scheduler),
-            );
-            total += report.outcome.service_time_secs;
-        }
-        assert!(total > 0.0, "DES replay produced zero service time");
-    })
-}
-
-/// Benchmarks the multi-tenant serving stack end to end: a 4-tenant
-/// bursty stream through the front door on the DES inner executor. The
-/// artifact's extras record the simulated stream shape — arrivals served,
-/// wall-clock arrivals/sec (harness throughput), and virtual-time
-/// runs/sec (the platform's serving throughput).
-pub fn bench_traffic(ctx: &ExperimentContext) -> BenchResult {
-    let params = crate::traffic_sim::TrafficParams {
-        seed: ctx.seed,
-        tenants: 4,
-        model: dd_platform::traffic::ArrivalModel::Bursty,
-        rate_per_sec: 0.05,
-        requests_per_tenant: ctx.runs_per_workflow.clamp(2, 12),
-        capacity: 4,
-        scale_down: ctx.scale_down.max(1),
-        vendor: ctx.vendor,
-        jobs: ctx.jobs,
-        ..crate::traffic_sim::TrafficParams::default()
-    };
-    let mut arrivals = 0usize;
-    let mut sim_throughput = 0.0f64;
-    let mut result = measure("traffic", None, || {
-        let out = crate::traffic_sim::simulate_stream(&params);
-        arrivals = out.arrivals.len();
-        sim_throughput = out.report.throughput_per_sec;
-        assert!(
-            out.report
-                .tenants
-                .iter()
-                .map(|t| t.completed)
-                .sum::<usize>()
-                == arrivals,
-            "traffic bench dropped runs"
-        );
-    });
-    let wall_rate = per_sec(arrivals as u64, result.wall_secs);
-    result.extras = vec![
-        ("arrivals".to_string(), arrivals.to_string()),
-        ("arrivals_per_sec".to_string(), json_f64(wall_rate)),
-        (
-            "sim_throughput_per_sec".to_string(),
-            json_f64(sim_throughput),
-        ),
-    ];
-    result
-}
-
-/// Benchmarks the policy zoo: every registered scheduler policy through
-/// the full fault matrix (rate × recovery × run, ExaFEL). The artifact's
-/// extras record the sweep shape — registered policies, matrix cells,
-/// and wall-clock cells/sec — so the committed file tracks how the
-/// registry grows and what a policy-cell costs.
-pub fn bench_zoo(ctx: &ExperimentContext) -> BenchResult {
-    let policies = dd_baselines::registry().len();
-    let cells = policies
-        * crate::experiments::robustness::RATES.len()
-        * crate::experiments::robustness::POLICIES.len()
-        * ctx.runs_per_workflow.min(2);
-    let mut rendered = 0usize;
-    let mut result = measure("zoo", None, || {
-        rendered = crate::experiments::zoo::run(ctx).len();
-    });
-    assert!(rendered > 0, "zoo rendered empty");
-    result.extras = vec![
-        ("policies".to_string(), policies.to_string()),
-        ("matrix_cells".to_string(), cells.to_string()),
-        (
-            "cells_per_sec".to_string(),
-            json_f64(per_sec(cells as u64, result.wall_secs)),
-        ),
-    ];
-    result
-}
-
-/// Lower-cased artifact slug for a workflow name ("Cosmoscout-VR" →
-/// "cosmoscout_vr").
-pub fn workflow_slug(workflow: Workflow) -> String {
-    workflow.name().to_lowercase().replace('-', "_")
-}
-
-/// Benchmarks the event queue in isolation: a synthetic churn workload of
-/// `events` pushes and pops against [`RadixEventQueue`], the hold pattern
-/// a DES run produces (a standing window of pending events, each pop
-/// scheduling future work). Event times come from a splitmix-style PRNG
-/// so the radix buckets see realistic spread; the result's `des_events`
-/// counts pops.
-pub fn bench_stress(events: u64) -> BenchResult {
-    const WINDOW: u64 = 1_024;
-    let mut result = measure("stress", None, || {
-        let mut queue: RadixEventQueue<u64> = RadixEventQueue::new();
-        let mut rng_state: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next_time = |now: f64| {
-            // splitmix64 step → uniform delay in (0, ~16s).
-            rng_state = rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = rng_state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            now + (z >> 11) as f64 / (1u64 << 49) as f64
-        };
-        let mut pushed: u64 = 0;
-        let mut popped: u64 = 0;
-        while pushed < WINDOW.min(events) {
-            queue.push(SimTime::from_secs(next_time(0.0)), pushed);
-            pushed += 1;
-        }
-        let mut last = f64::NEG_INFINITY;
-        while let Some((at, id)) = queue.pop() {
-            let now = at.as_secs();
-            assert!(now >= last, "queue popped out of order");
-            last = now;
-            popped += 1;
-            // Keep the standing window until the push budget is spent.
-            if pushed < events {
-                queue.push(SimTime::from_secs(next_time(now)), id);
-                pushed += 1;
-            }
-        }
-        assert_eq!(popped, events, "every pushed event must pop");
-        counters::add_des_events(popped);
-    });
-    // The artifact name records the scale (e.g. stress_1m).
-    result.name = stress_name(events);
-    result
-}
-
-/// Canonical stress-workload name for an event count: exact millions
-/// render as `stress_1m`, everything else as `stress_<n>`.
-pub fn stress_name(events: u64) -> String {
-    if events >= 1_000_000 && events.is_multiple_of(1_000_000) {
-        format!("stress_{}m", events / 1_000_000)
-    } else {
-        format!("stress_{events}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stress_pops_every_event_and_counts_them() {
-        let r = bench_stress(10_000);
-        assert_eq!(r.name, "stress_10000");
-        assert_eq!(r.des_events, 10_000);
-        assert!(r.wall_secs > 0.0);
-        assert!(r.events_per_sec() > 0.0);
-        let json = r.to_json();
-        assert!(json.contains("\"des_events\": 10000"), "{json}");
-        assert!(json.contains("\"speedup_vs_baseline\": null"), "{json}");
-    }
-
-    #[test]
-    fn stress_name_scales() {
-        assert_eq!(stress_name(1_000_000), "stress_1m");
-        assert_eq!(stress_name(2_000_000), "stress_2m");
-        assert_eq!(stress_name(50_000), "stress_50000");
-    }
-
-    #[test]
-    fn workflow_slugs_are_filesystem_safe() {
-        assert_eq!(workflow_slug(Workflow::ExaFel), "exafel");
-        assert_eq!(workflow_slug(Workflow::CosmoscoutVr), "cosmoscout_vr");
-        assert_eq!(workflow_slug(Workflow::Ccl), "ccl");
-        for wf in Workflow::ALL {
-            let slug = workflow_slug(wf);
-            assert!(slug
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'));
-        }
-    }
-
-    #[test]
-    fn workflow_des_bench_counts_starts_and_events() {
-        let ctx = ExperimentContext {
-            runs_per_workflow: 1,
-            scale_down: 25,
-            jobs: 1,
-            ..ExperimentContext::default()
-        };
-        let r = bench_workflow_des(&ctx, Workflow::Ccl, 2);
-        assert_eq!(r.name, "ccl");
-        assert!(r.component_starts > 0, "no component starts recorded");
-        assert!(r.des_events > 0, "no DES events recorded");
-        assert!(r.baseline.is_none());
-    }
-
-    #[test]
-    fn report_bench_embeds_baseline_and_speedup() {
-        let ctx = ExperimentContext {
-            runs_per_workflow: 1,
-            scale_down: 50,
-            jobs: 1,
-            ..ExperimentContext::default()
-        };
-        let r = bench_report(&ctx, true);
-        assert_eq!(r.baseline, Some(REPORT_BASELINE));
-        let s = r.speedup().expect("baseline present");
-        assert!(s > 0.0);
-        let json = r.to_json();
-        assert!(json.contains("\"baseline_wall_secs\": 96.369000"), "{json}");
-        assert!(json.contains("\"schema\": \"dd-bench/v1\""), "{json}");
-    }
-
-    #[test]
-    fn json_is_parseable_shape() {
-        // Minimal structural checks a JSON parser would enforce: balanced
-        // braces, every key quoted, no trailing comma.
-        let r = bench_stress(1_000);
-        let json = r.to_json();
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert!(!json.contains(",\n}"));
-        for key in [
-            "schema",
-            "name",
-            "wall_secs",
-            "component_starts",
-            "des_events",
-            "component_starts_per_sec",
-            "des_events_per_sec",
-            "peak_rss_kb",
-            "baseline_wall_secs",
-            "baseline_max_rss_kb",
-            "speedup_vs_baseline",
-        ] {
-            assert!(json.contains(&format!("\"{key}\":")), "missing {key}");
-        }
-    }
-
-    #[test]
-    fn traffic_bench_records_stream_extras() {
-        let ctx = ExperimentContext {
-            runs_per_workflow: 2,
-            scale_down: 25,
-            jobs: 1,
-            ..ExperimentContext::default()
-        };
-        let r = bench_traffic(&ctx);
-        assert_eq!(r.name, "traffic");
-        assert!(r.component_starts > 0, "no component starts recorded");
-        let json = r.to_json();
-        // 4 tenants x 2 requests.
-        assert!(json.contains("\"arrivals\": 8"), "{json}");
-        assert!(json.contains("\"arrivals_per_sec\":"), "{json}");
-        assert!(json.contains("\"sim_throughput_per_sec\":"), "{json}");
-        // Extras append without breaking the JSON shape.
-        assert!(json.ends_with("}\n"));
-        assert!(!json.contains(",\n}"));
-        // Classic workloads keep the original fixed key set.
-        assert!(bench_stress(500).extras.is_empty());
-    }
-
-    #[test]
-    fn zoo_bench_records_matrix_extras() {
-        let ctx = ExperimentContext {
-            runs_per_workflow: 1,
-            scale_down: 25,
-            jobs: 1,
-            ..ExperimentContext::default()
-        };
-        let r = bench_zoo(&ctx);
-        assert_eq!(r.name, "zoo");
-        assert!(r.component_starts > 0, "no component starts recorded");
-        let json = r.to_json();
-        let policies = dd_baselines::registry().len();
-        assert!(
-            json.contains(&format!("\"policies\": {policies}")),
-            "{json}"
-        );
-        // 9 policies x 3 rates x 3 recoveries x 1 run.
-        assert!(
-            json.contains(&format!("\"matrix_cells\": {}", policies * 9)),
-            "{json}"
-        );
-        assert!(json.contains("\"cells_per_sec\":"), "{json}");
-        assert!(json.ends_with("}\n"));
-        assert!(!json.contains(",\n}"));
-    }
 
     #[test]
     fn peak_rss_reads_on_linux() {

@@ -1,11 +1,10 @@
-//! Figure registry and dispatch shared by the `report` binary, the
-//! `dd-bench bench` macro-benchmark harness, and the perf-equivalence
-//! test suite.
+//! Figure registry and dispatch shared by the `report` binary, the `perf`
+//! benchmark, and the perf-equivalence test suite.
 //!
 //! Rendering lives here (not in the binary) so that in-process consumers
-//! — the bench harness timing a full report, the equivalence tests
-//! byte-comparing two executor paths — produce exactly the bytes the CLI
-//! prints, without shelling out.
+//! — the benchmark timing a report, the equivalence tests byte-comparing
+//! two executor paths — produce exactly the bytes the CLI prints, without
+//! shelling out.
 
 use crate::experiments as exp;
 use crate::{EvaluationMatrix, ExperimentContext, SchedulerKind};
@@ -42,6 +41,10 @@ pub const FIGURES: [&str; 29] = [
     "robustness",
     "obs",
 ];
+
+/// Figures outside the full report (whose bytes the perf-equivalence
+/// hashes pin), rendered only when named: `report traffic`, `report zoo`.
+pub const STANDALONE: [&str; 2] = ["traffic", "zoo"];
 
 /// Whether a figure renders from the shared evaluation matrix (Figs.
 /// 11–17) rather than computing its own sweep.
@@ -89,9 +92,6 @@ pub fn render(
         "scaling" => exp::scaling::run(ctx),
         "robustness" => exp::robustness::run(ctx),
         "obs" => exp::obs::run(ctx),
-        // Standalone (not in FIGURES: the full-report byte stream is
-        // pinned by the perf-equivalence hashes, so these render on
-        // request only: `report traffic`, `report zoo`).
         "traffic" => exp::traffic::run(ctx),
         "zoo" => exp::zoo::run(ctx),
         _ => return None,
@@ -104,7 +104,7 @@ pub fn render(
 /// that selection: header line, each figure's output, each terminated by
 /// a newline.
 ///
-/// Unknown names are skipped, matching the CLI (which warns on stderr).
+/// Unknown names are skipped; the CLI rejects them before rendering.
 pub fn render_report(
     ctx: &ExperimentContext,
     selected: &[&str],
@@ -128,12 +128,6 @@ pub fn render_report(
         out.push('\n');
     }
     out
-}
-
-/// Renders the complete report — every figure plus ablations — exactly
-/// as `report` with no arguments prints it.
-pub fn render_full_report(ctx: &ExperimentContext) -> String {
-    render_report(ctx, &FIGURES, true)
 }
 
 #[cfg(test)]

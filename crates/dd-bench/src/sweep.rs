@@ -3,9 +3,9 @@
 //! Every multi-run experiment in this crate is an embarrassingly parallel
 //! grid of independent cells (a cell = one run under one or more
 //! schedulers). This module fans those cells over a fixed pool of
-//! `crossbeam::scope` worker threads pulling indices from a shared
-//! work-stealing counter, with results collected behind a lock-cheap
-//! [`parking_lot::Mutex`] and re-ordered by cell index before they are
+//! [`std::thread::scope`] worker threads pulling indices from a shared
+//! work-stealing counter, with results collected behind a
+//! [`std::sync::Mutex`] and re-ordered by cell index before they are
 //! returned.
 //!
 //! # Determinism
@@ -22,8 +22,8 @@
 //! Consequently `report figN --jobs 8` renders byte-identical output to
 //! `--jobs 1`; the workspace test suite pins this.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of worker threads to use when the user does not say: the
 /// machine's available parallelism (1 if that cannot be determined).
@@ -71,9 +71,10 @@ where
     // slow cell never stalls the others (static striping would).
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    crossbeam::scope(|scope| {
+    // `thread::scope` joins every worker and re-raises the first panic.
+    std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let mut state = init();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -81,15 +82,15 @@ where
                         break;
                     }
                     let value = f(&mut state, i);
-                    results.lock()[i] = Some(value);
+                    results.lock().expect("no worker panics holding the lock")[i] = Some(value);
                 }
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     results
         .into_inner()
+        .expect("no worker panics holding the lock")
         .into_iter()
         .map(|cell| cell.expect("every cell computed"))
         .collect()

@@ -16,7 +16,8 @@
 //! 2. **Zero cost when disabled.** [`NoopRecorder`] methods are empty
 //!    defaults; callers guard argument construction behind
 //!    [`Recorder::enabled`], so a disabled recorder adds only a branch.
-//!    A criterion check in `dd-bench/benches/executor.rs` pins this.
+//!    `tests/obs_determinism.rs::a_disabled_recorder_is_never_called_past_enabled`
+//!    pins this with a recorder that panics past `enabled()`.
 //! 3. **No side channels.** Recording never feeds back into simulation
 //!    decisions; a recorded run and an unrecorded run of the same seed
 //!    produce identical outcomes.

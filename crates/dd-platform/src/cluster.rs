@@ -23,10 +23,9 @@ use crate::startup::StartupModel;
 use crate::telemetry::{CostLedger, PhaseRecord, RunOutcome, Utilization};
 use crate::tier::Tier;
 use dd_wfdag::{LanguageRuntime, Phase, WorkflowRun};
-use serde::{Deserialize, Serialize};
 
 /// The execution regime of a cluster (Fig. 4's four bars).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterKind {
     /// Bare processes on HPC nodes, parallel-file-system I/O
     /// (the Pegasus substrate).

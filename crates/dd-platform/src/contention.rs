@@ -13,10 +13,8 @@
 //! a per-regime isolation factor calibrated to those relative deltas, and
 //! the steal fraction inflates component execution time.
 
-use serde::{Deserialize, Serialize};
-
 /// Isolation regimes of Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsolationKind {
     /// Bare processes sharing an HPC node (no isolation).
     HpcProcess,
@@ -29,7 +27,7 @@ pub enum IsolationKind {
 }
 
 /// Converts co-location load into execution-time inflation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionModel {
     /// Steal fraction per unit of load on an un-isolated HPC node.
     pub base_steal_per_load: f64,

@@ -5,7 +5,6 @@
 //! sequence) order. Ties on time break by insertion order, so simulations
 //! are bit-reproducible regardless of hash-map iteration or float quirks.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -13,7 +12,7 @@ use std::collections::BinaryHeap;
 ///
 /// A thin wrapper over `f64` providing a total order (NaN is rejected at
 /// construction), saturating arithmetic and pretty-printing.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

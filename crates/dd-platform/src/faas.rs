@@ -25,10 +25,9 @@ use crate::faults::{FaultConfig, RecoveryPolicy};
 use crate::kernel::{self, Scratch};
 use crate::pricing::{CloudVendor, PriceSheet};
 use crate::startup::StartupModel;
-use serde::{Deserialize, Serialize};
 
 /// When the next phase's pool request is issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolTrigger {
     /// When half of the current phase's outputs are in storage —
     /// DayDream's design (Sec. IV).
@@ -39,7 +38,7 @@ pub enum PoolTrigger {
 }
 
 /// Executor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaasConfig {
     /// Cloud vendor (scales start-up latencies and prices).
     pub vendor: CloudVendor,

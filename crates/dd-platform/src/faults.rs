@@ -37,10 +37,9 @@
 //! so every component completes and the workflow always finishes.
 
 use crate::startup::StartupModel;
-use serde::{Deserialize, Serialize};
 
 /// The kinds of injected faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The invocation was rejected before any instance work happened
     /// (throttle / control-plane error). Costs nothing but a backoff.
@@ -82,7 +81,7 @@ impl FaultKind {
 }
 
 /// How one attempt of a component ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttemptOutcome {
     /// The attempt produced the component's output.
     Completed,
@@ -99,7 +98,7 @@ pub enum AttemptOutcome {
 ///
 /// All rates are probabilities in `[0, 1)` applied independently per
 /// attempt. The default is the paper's clean environment (all zero).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Injection seed. Mixed with the run index so different runs see
     /// different fault placements (the straggler-seed bugfix: the old
@@ -186,7 +185,7 @@ impl FaultConfig {
 }
 
 /// What the platform does about faulty attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Retries allowed after the first attempt. The final allowed
     /// attempt always completes (escalation to a reliable slow path),
@@ -313,7 +312,7 @@ impl RecoveryPolicy {
 }
 
 /// One attempt of a component, as resolved by the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Attempt {
     /// Primary attempt index (a speculative copy shares its primary's).
     pub index: u32,
@@ -333,7 +332,7 @@ pub struct Attempt {
 ///
 /// `attempts` is empty on the clean fast path (one implicit healthy
 /// attempt); otherwise it lists every attempt in launch order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentTimeline {
     /// Every attempt, in launch order (empty ⇔ clean single attempt).
     pub attempts: Vec<Attempt>,
@@ -366,7 +365,7 @@ impl ComponentTimeline {
 }
 
 /// Aggregate fault/recovery counters of one run (telemetry).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Attempts launched, speculative copies included.
     pub total_attempts: u64,

@@ -18,10 +18,8 @@
 //! execution before the runtime load would be caught structurally rather
 //! than by timing heuristics.
 
-use serde::{Deserialize, Serialize};
-
 /// A state in the instance lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstanceState {
     /// Pool request issued; nothing allocated yet.
     Requested,
@@ -107,7 +105,7 @@ impl std::fmt::Display for IllegalTransition {
 impl std::error::Error for IllegalTransition {}
 
 /// A lifecycle tracker enforcing legal transitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceLifecycle {
     state: InstanceState,
     history: Vec<InstanceState>,

@@ -9,10 +9,9 @@
 use crate::des::SimTime;
 use crate::tier::Tier;
 use dd_wfdag::ComponentTypeId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a pooled instance within one run's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u64);
 
 impl std::fmt::Display for InstanceId {
@@ -24,7 +23,7 @@ impl std::fmt::Display for InstanceId {
 /// One entry of a pool request: start an instance of `tier`, optionally
 /// pre-pairing a specific component (`Some` = warm start, `None` = hot
 /// start: runtimes only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolEntryRequest {
     /// Requested tier.
     pub tier: Tier,
@@ -33,7 +32,7 @@ pub struct PoolEntryRequest {
 }
 
 /// A batch of instances a scheduler asks the platform to start.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolRequest {
     /// The instances to start.
     pub entries: Vec<PoolEntryRequest>,
@@ -95,7 +94,7 @@ impl PoolRequest {
 }
 
 /// A live pooled instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PooledInstance {
     /// Identifier.
     pub id: InstanceId,
@@ -137,7 +136,7 @@ pub(crate) fn resolve_slot(pool: &[PooledInstance], id: InstanceId) -> usize {
 }
 
 /// Read-only view of a pooled instance handed to schedulers for placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceView {
     /// Identifier to reference in a [`crate::sched::Placement`].
     pub id: InstanceId,

@@ -8,10 +8,9 @@
 //! *relative* benefits survive vendor differences.
 
 use crate::tier::Tier;
-use serde::{Deserialize, Serialize};
 
 /// A serverless vendor profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CloudVendor {
     /// AWS Lambda + S3 (the paper's primary platform).
     Aws,
@@ -64,7 +63,7 @@ impl std::fmt::Display for CloudVendor {
 }
 
 /// Per-second prices for the two tiers, plus storage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceSheet {
     /// Vendor this sheet belongs to.
     pub vendor: CloudVendor,

@@ -19,11 +19,10 @@ use crate::des::SimTime;
 use crate::pool::{InstanceId, InstanceView, PoolRequest};
 use crate::tier::Tier;
 use dd_wfdag::{ComponentTypeId, LanguageRuntime, Phase, Workflow};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Static facts about the run, available before execution starts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunInfo {
     /// Which workflow is executing.
     pub workflow: Workflow,
@@ -36,7 +35,7 @@ pub struct RunInfo {
 }
 
 /// What the platform observed about a completed (or half-completed) phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseObservation {
     /// Phase index.
     pub index: usize,
@@ -54,7 +53,7 @@ pub struct PhaseObservation {
 }
 
 /// How a component was started (paper terminology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StartKind {
     /// Pre-paired component + runtime (Wild-style).
     Warm,
@@ -76,7 +75,7 @@ impl StartKind {
 }
 
 /// A placement decision for one component of a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     /// Tier to execute on (the γ parameter of the paper's optimization).
     pub tier: Tier,
@@ -92,7 +91,7 @@ pub struct Placement {
 /// drain them after each callback, stamping them with the virtual time
 /// of the decision. Recording is strictly write-only telemetry: it must
 /// never change what the scheduler decides.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerEvent {
     /// The concurrency predictor re-fit its Weibull distribution from a
     /// completed observation interval.
@@ -131,7 +130,7 @@ pub enum SchedulerEvent {
 /// Both default to `0.0`, which is exactly the pre-hint arithmetic: the
 /// executors skip the scaling entirely when a fraction is zero, so every
 /// hint-less scheduler stays on the byte-identical legacy code path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageHints {
     /// Fraction of storage maintenance served by affinity co-location.
     pub colocated_read_fraction: f64,

@@ -20,10 +20,9 @@
 
 use crate::tier::Tier;
 use dd_wfdag::{ComponentInstance, LanguageRuntime};
-use serde::{Deserialize, Serialize};
 
 /// The decomposed start-up latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StartupModel {
     /// Seconds to boot a fresh microVM (kernel + user space).
     pub microvm_boot_secs: f64,

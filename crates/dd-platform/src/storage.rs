@@ -15,17 +15,16 @@
 //! maintenance cost the paper folds into service cost.
 
 use crate::des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Storage-side record of one phase's output arrivals.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct PhaseOutputs {
     expected: usize,
     arrivals: Vec<SimTime>,
 }
 
 /// The back-end storage server: output tracking + notifications.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BackendStore {
     phases: Vec<PhaseOutputs>,
     bytes_written_mb: f64,
@@ -42,7 +41,7 @@ pub(crate) fn half_phase_rank(expected: usize) -> usize {
 }
 
 /// Notification thresholds computed for a completed phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseNotifications {
     /// Instant at which half of the phase's outputs were present — when
     /// the store notifies the scheduler to hot start the next phase.

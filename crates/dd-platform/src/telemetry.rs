@@ -8,10 +8,9 @@
 
 use crate::faults::FaultStats;
 use crate::tier::Tier;
-use serde::{Deserialize, Serialize};
 
 /// The service-cost decomposition of one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostLedger {
     /// Cost of instance-seconds spent starting, executing and writing.
     pub execution: f64,
@@ -90,7 +89,7 @@ impl CostLedger {
 }
 
 /// Resource utilization summary: used ÷ billed resource-seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Utilization {
     used_core_secs: f64,
     billed_core_secs: f64,
@@ -156,7 +155,7 @@ fn ratio(used: f64, billed: f64) -> f64 {
 }
 
 /// What happened in one phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseRecord {
     /// Phase index.
     pub index: usize,
@@ -214,7 +213,7 @@ impl PhaseRecord {
 }
 
 /// Complete outcome of executing one run under one scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// Scheduler that produced this outcome.
     pub scheduler: String,

@@ -7,10 +7,9 @@
 //! instances; everything else runs low-end to cut cost.
 
 use dd_wfdag::ComponentInstance;
-use serde::{Deserialize, Serialize};
 
 /// The tier of a serverless function instance (or cluster node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Tier {
     /// 10 GB memory, 6 vCPUs, 10 Gb/s I/O.
     HighEnd,

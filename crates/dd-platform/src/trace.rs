@@ -14,10 +14,9 @@ use crate::faults::{AttemptOutcome, FaultKind};
 use crate::pool::InstanceId;
 use crate::sched::StartKind;
 use crate::tier::Tier;
-use serde::{Deserialize, Serialize};
 
 /// The lifecycle of one component execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentTrace {
     /// Phase index.
     pub phase: usize,
@@ -67,7 +66,7 @@ impl ComponentTrace {
 /// One attempt of a component under fault injection: which fault hit it,
 /// how it ended, and what it burned. Clean runs record none of these (the
 /// single healthy attempt is implicit in [`ComponentTrace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttemptTrace {
     /// Phase index.
     pub phase: usize,
@@ -88,7 +87,7 @@ pub struct AttemptTrace {
 }
 
 /// A pool-instance lifecycle event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolTrace {
     /// Instance id.
     pub instance: InstanceId,
@@ -108,7 +107,7 @@ pub struct PoolTrace {
 }
 
 /// The complete trace of one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionTrace {
     /// Every component execution, in (phase, slot) order.
     pub components: Vec<ComponentTrace>,

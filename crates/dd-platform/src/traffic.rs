@@ -28,11 +28,10 @@
 use crate::des::SimTime;
 use crate::telemetry::{CostLedger, RunOutcome};
 use dd_obs::{Recorder, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Identifier of a tenant stream within one serve session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 
 impl std::fmt::Display for TenantId {
@@ -42,7 +41,7 @@ impl std::fmt::Display for TenantId {
 }
 
 /// The interarrival processes the front door can replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalModel {
     /// Memoryless Exp(rate) gaps — the open-loop baseline.
     Poisson,
@@ -88,7 +87,7 @@ impl std::fmt::Display for ArrivalModel {
 }
 
 /// One tenant's stream shape and fair-share parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantSpec {
     /// Tenant identity (also the arrival-draw salt).
     pub tenant: TenantId,
@@ -108,7 +107,7 @@ pub struct TenantSpec {
 }
 
 /// The whole serve session: seed, model, tenants, shared capacity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficConfig {
     /// Root seed of every interarrival draw.
     pub seed: u64,
@@ -130,7 +129,7 @@ impl TrafficConfig {
 
 /// One queued run request: tenant `tenant`'s `index`-th submission,
 /// arriving at virtual time `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// Submitting tenant.
     pub tenant: TenantId,
@@ -283,7 +282,7 @@ pub fn plan_shared_pool(per_tenant_samples: &[Vec<f64>], capacity: usize) -> Sha
 /// What the per-run executor produced for one arrival — the only facts
 /// the front door needs, so executor fan-out can happen elsewhere (and
 /// in parallel) before the strictly sequential admission loop runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceSample {
     /// End-to-end service time of the run, seconds.
     pub service_secs: f64,
@@ -310,7 +309,7 @@ impl ServiceSample {
 }
 
 /// One admitted run's lifecycle instants, in admission order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionRecord {
     /// Index into the merged arrival table.
     pub arrival_idx: usize,
@@ -337,7 +336,7 @@ impl AdmissionRecord {
 }
 
 /// Per-tenant accounting of one serve session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Which tenant.
     pub tenant: TenantId,
@@ -364,7 +363,7 @@ pub struct TenantReport {
 }
 
 /// The whole serve session's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Per-tenant accounting, in tenant order.
     pub tenants: Vec<TenantReport>,

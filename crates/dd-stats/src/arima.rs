@@ -13,10 +13,9 @@
 
 use crate::linalg::{least_squares_ridge_into, least_squares_ridge_rows, LsScratch};
 use crate::series::mean;
-use serde::{Deserialize, Serialize};
 
 /// Order specification for an ARIMA model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArimaConfig {
     /// Autoregressive order (number of lagged values).
     pub p: usize,
@@ -35,7 +34,7 @@ impl ArimaConfig {
 }
 
 /// A fitted ARIMA model, ready to forecast.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arima {
     config: ArimaConfig,
     /// AR coefficients φ₁…φ_p on the differenced series.

@@ -9,10 +9,9 @@
 
 use crate::histogram::Histogram;
 use crate::weibull::gamma;
-use serde::{Deserialize, Serialize};
 
 /// A normal (Gaussian) distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mean: f64,
     std_dev: f64,
@@ -61,7 +60,7 @@ impl Normal {
 }
 
 /// A Poisson distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     lambda: f64,
 }

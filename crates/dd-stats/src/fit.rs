@@ -14,10 +14,9 @@ use crate::chi2::{chi2_statistic_regularized, normalized_chi2_error};
 use crate::histogram::Histogram;
 use crate::linalg::{least_squares_ridge_into, least_squares_ridge_rows, LsScratch};
 use crate::weibull::{gamma, Weibull};
-use serde::{Deserialize, Serialize};
 
 /// Result of a Weibull fit: the distribution and its χ² objective value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeibullFit {
     /// The fitted distribution.
     pub dist: Weibull,
@@ -238,8 +237,8 @@ fn approx_chi2_exceeds(
 
 /// The original dense-scan grid fit, kept as the equivalence oracle for
 /// the branch-and-bound rewrite ([`fit_weibull_grid`] must agree with it
-/// bit for bit). Used by property tests and the criterion fit-kernel
-/// guard; not called on any production path.
+/// bit for bit). Used by property tests; not called on any production
+/// path.
 pub fn fit_weibull_grid_reference(
     hist: &Histogram,
     alpha_range: (f64, f64),
@@ -329,7 +328,7 @@ pub fn fit_weibull_moments(hist: &Histogram) -> Option<Weibull> {
 }
 
 /// A fitted temporal model together with its quality metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FitReport {
     /// Human-readable model name (e.g. `"poly2"`, `"sinusoid"`).
     pub model: String,

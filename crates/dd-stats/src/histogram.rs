@@ -5,14 +5,12 @@
 //! [`Histogram`] is that structure — a dense count vector indexed by the
 //! observed integer value.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over non-negative integer observations.
 ///
 /// Counts are stored densely: `counts()[v]` is the number of observations
 /// equal to `v`. The vector is grown on demand and trailing zero bins are
 /// retained (callers that care can use [`Histogram::trimmed_len`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

@@ -17,7 +17,6 @@
 
 use crate::fit::{fit_weibull_grid, fit_weibull_moments, WeibullFit};
 use crate::histogram::Histogram;
-use serde::{Deserialize, Serialize};
 // dd-lint: allow(hash-container): memo table is point-lookup only; iteration order is never observed
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -91,7 +90,7 @@ pub fn moments_centered_grid_fit_memo(hist: &Histogram, grid_steps: usize) -> Op
 /// `record` is O(1) (one histogram bump); `fit` re-runs the grid search
 /// only when observations have arrived since the last call, so interleaved
 /// record/fit patterns never pay for redundant re-fits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IncrementalWeibullFit {
     observed: Histogram,
     grid_steps: usize,

@@ -19,8 +19,8 @@
 //! * [`rng`] — deterministic, hierarchically seeded random number handles so
 //!   every experiment is reproducible from a single seed.
 //!
-//! The crate is dependency-light by design (only `rand` and `serde`), and
-//! all numerics are `f64`.
+//! The crate is dependency-light by design (only `rand`), and all
+//! numerics are `f64`.
 //!
 //! ```
 //! use dd_stats::{fit_weibull_grid, Histogram, SeedStream, Weibull};

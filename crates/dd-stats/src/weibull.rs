@@ -12,11 +12,10 @@
 //! (10, 3.2) for Cosmoscout-VR and (10, 6) for CCL.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A two-parameter Weibull distribution with scale `alpha` (α) and shape
 /// `beta` (β), matching the paper's notation in Eq. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weibull {
     alpha: f64,
     beta: f64,

@@ -6,12 +6,9 @@
 //! instances; their sum is the *component concurrency* of the paper).
 
 use crate::runtime::LanguageRuntime;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a component type within a workflow catalog.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ComponentTypeId(pub u32);
 
 impl std::fmt::Display for ComponentTypeId {
@@ -26,7 +23,7 @@ impl std::fmt::Display for ComponentTypeId {
 /// start-up (cold/hot/warm) and I/O transfer overheads are added by the
 /// platform, not baked in here. The paper's measured mean component
 /// execution time is 3.56 s, which the workflow catalogs are calibrated to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentType {
     /// Catalog identifier.
     pub id: ComponentTypeId,
@@ -71,7 +68,7 @@ impl ComponentType {
 /// Carries per-instance jittered execution times (real components vary
 /// run to run with their inputs) so two instances of the same type are not
 /// byte-identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentInstance {
     /// The catalog type being invoked.
     pub type_id: ComponentTypeId,

@@ -13,7 +13,6 @@ use crate::component::ComponentTypeId;
 use crate::spec::WorkflowSpec;
 use dd_stats::SeedStream;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A decision point in the DAG offering alternative component groups.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// the run's operation/input hash plus per-run randomness, mirroring how
 /// e.g. ExaFEL picks "N-D Intensity Map" under the X-Ray Diffraction
 /// operation but "Intensity Calculation" under Orientation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagJoint {
     /// Alternative component-type groups; exactly one is selected per run.
     pub alternatives: Vec<Vec<ComponentTypeId>>,
@@ -45,7 +44,7 @@ impl DagJoint {
 
 /// The template of one phase: the joints whose selected alternatives make
 /// up the phase's component population.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTemplate {
     /// Decision joints of this phase.
     pub joints: Vec<DagJoint>,
@@ -73,7 +72,7 @@ impl PhaseTemplate {
 /// Long workflows (Cosmoscout-VR runs ~1 100 phases) cycle through a
 /// bounded set of templates, modeling the recurring computational-steering
 /// structure the paper attributes the distribution stability to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicDag {
     templates: Vec<PhaseTemplate>,
     /// Consecutive phases per template (streak length of Figs. 5–6).

@@ -8,12 +8,11 @@
 use crate::component::{ComponentInstance, ComponentTypeId};
 use crate::spec::Workflow;
 use dd_stats::Histogram;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The identity of a run: workflow, index, and the (operation, input) pair
 /// that conditioned its path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunLabel {
     /// Which workflow.
     pub workflow: Workflow,
@@ -29,7 +28,7 @@ pub struct RunLabel {
 }
 
 /// One phase: components that run in parallel with no mutual dependency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Phase index within the run.
     pub index: usize,
@@ -77,7 +76,7 @@ impl Phase {
 }
 
 /// A realized run of a workflow: label + phase sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowRun {
     /// Identity of this run.
     pub label: RunLabel,

@@ -6,14 +6,12 @@
 //! runtimes therefore scales the hot-start latency and the keep-alive
 //! memory footprint — the limitation the paper discusses in Sec. V.
 
-use serde::{Deserialize, Serialize};
-
 /// A language runtime a component executes under.
 ///
 /// The load times are the simulator's per-runtime contribution to start-up
 /// latency; they are calibrated so typical 1–2-runtime DAGs land on the
 /// paper's measured mean start overheads (hot 0.93 s, cold 1.16 s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LanguageRuntime {
     /// CPython with scientific stack (the dominant runtime in the
     /// artifact's workflows).

@@ -24,10 +24,9 @@ use crate::component::{ComponentType, ComponentTypeId};
 use crate::runtime::LanguageRuntime;
 use dd_stats::{SeedStream, Weibull};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The three scientific workflows evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workflow {
     /// ExaFEL: X-ray diffraction molecular structure (ECP).
     ExaFel,
@@ -58,7 +57,7 @@ impl std::fmt::Display for Workflow {
 }
 
 /// Full generation specification for one workflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkflowSpec {
     /// Which workflow this specifies.
     pub workflow: Workflow,

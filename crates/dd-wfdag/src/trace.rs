@@ -1,18 +1,17 @@
-//! Run traces: serializable record/replay of generated runs.
+//! Run traces: record/replay of generated runs.
 //!
 //! The paper's artifact ships per-run profiling data (`my_test/` folders
 //! with concurrency and utilization per phase). [`RunTrace`] plays that
-//! role here: a compact, serde-serializable snapshot of a run's observable
-//! statistics that experiments can persist and reload without regenerating
-//! the full component population.
+//! role here: a compact, plain-data snapshot of a run's observable
+//! statistics from which a run can be re-synthesized without keeping the
+//! full component population.
 
 use crate::run::WorkflowRun;
 use crate::spec::Workflow;
 use crate::usage::{ResourceKind, UsageSeries};
-use serde::{Deserialize, Serialize};
 
 /// A compact trace of one run: identity, concurrency and utilization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Which workflow.
     pub workflow: Workflow,

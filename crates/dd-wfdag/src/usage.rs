@@ -8,10 +8,9 @@
 //! would have provisioned).
 
 use crate::run::WorkflowRun;
-use serde::{Deserialize, Serialize};
 
 /// Which resource a series describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// CPU utilization.
     Cpu,
@@ -42,7 +41,7 @@ impl ResourceKind {
 /// A per-phase utilization series in `[0, 1]`, relative to a fixed
 /// reference capacity sized at the run's *peak* demand — i.e. what a
 /// statically provisioned cluster would look like.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageSeries {
     /// The resource described.
     pub kind: ResourceKind,

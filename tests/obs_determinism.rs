@@ -4,11 +4,14 @@
 //!    executors on the same seed (the recorder sees the canonical event
 //!    order from both),
 //! 2. attaching a recorder never changes the simulated outcome (recording
-//!    is write-only telemetry).
+//!    is write-only telemetry),
+//! 3. a disabled recorder is never called past `enabled()`, so the
+//!    disabled path builds no arguments (zero cost when disabled).
 
 use daydream_core::{DayDreamHistory, DayDreamScheduler};
-use dd_obs::export;
+use dd_obs::{export, Value};
 use dd_platform::prelude::*;
+use dd_platform::traffic::arrivals;
 use dd_stats::SeedStream;
 use dd_wfdag::{RunGenerator, Workflow, WorkflowSpec};
 
@@ -150,4 +153,86 @@ fn exports_reproduce_run_to_run() {
         )
     };
     assert_eq!(render(), render());
+}
+
+/// A disabled recorder that panics on every call but `enabled()`: an
+/// emission site without its `enabled()` guard fails the test below.
+struct DisabledSpy;
+
+type Args = Vec<(&'static str, Value)>;
+
+fn unguarded(name: &str) -> ! {
+    panic!("'{name}' reached a disabled recorder: its emission site lacks an enabled() guard")
+}
+
+impl Recorder for DisabledSpy {
+    fn enabled(&self) -> bool {
+        false
+    }
+    fn span(&mut self, name: &'static str, _: &'static str, _: f64, _: f64, _: Args) {
+        unguarded(name)
+    }
+    fn instant(&mut self, name: &'static str, _: &'static str, _: f64, _: Args) {
+        unguarded(name)
+    }
+    fn declare_counter(&mut self, name: &'static str) {
+        unguarded(name)
+    }
+    fn declare_gauge(&mut self, name: &'static str) {
+        unguarded(name)
+    }
+    fn declare_histogram(&mut self, name: &'static str) {
+        unguarded(name)
+    }
+    fn add(&mut self, name: &'static str, _: u64) {
+        unguarded(name)
+    }
+    fn set(&mut self, name: &'static str, _: f64) {
+        unguarded(name)
+    }
+    fn record(&mut self, name: &'static str, _: f64) {
+        unguarded(name)
+    }
+}
+
+#[test]
+fn a_disabled_recorder_is_never_called_past_enabled() {
+    let (run, runtimes, history) = setup(10);
+    let mut samples = Vec::new();
+    for fault_rate in [0.0, 0.08] {
+        let faults = FaultConfig::uniform(fault_rate).with_seed(5);
+        let executors: [&mut dyn Executor; 2] =
+            [&mut FaasExecutor::aws(), &mut DesFaasExecutor::aws()];
+        for executor in executors {
+            let mut s = scheduler(&history);
+            let outcome = executor
+                .run(
+                    RunRequest::new(&run, &runtimes, &mut s)
+                        .with_faults(faults, RecoveryPolicy::speculative())
+                        .with_recorder(&mut DisabledSpy),
+                )
+                .into_outcome();
+            assert_eq!(outcome.faults.retried_components > 0, fault_rate > 0.0);
+            samples.push(ServiceSample::from_outcome(&outcome));
+        }
+    }
+
+    let tenant = |id| TenantSpec {
+        tenant: TenantId(id),
+        arrivals: 2,
+        rate_per_sec: 0.5,
+        weight: 1,
+        max_in_flight: 1,
+        sla_secs: 0.0,
+    };
+    let cfg = TrafficConfig {
+        seed: 42,
+        model: ArrivalModel::Poisson,
+        tenants: vec![tenant(0), tenant(1)],
+        capacity: 1,
+    };
+    let stream = arrivals(&cfg);
+    assert_eq!(stream.len(), samples.len());
+    let report = FrontDoor::new(cfg).serve(&stream, &samples, Some(&mut DisabledSpy));
+    assert_eq!(report.admissions.len(), stream.len());
 }
