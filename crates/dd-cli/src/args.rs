@@ -169,6 +169,93 @@ fn parse_workflow(s: &str) -> Result<Workflow, String> {
     }
 }
 
+/// The value following `flag`, or the "requires a value" error.
+fn required<'a>(flag: &str, value: Option<&'a String>) -> Result<&'a String, String> {
+    value.ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// Parses `value` as a number, or fails with "`flag` takes a number".
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag} takes a number"))
+}
+
+/// Parses a count that must be at least 1 (`--runs`, `--requests`,
+/// `--tenants`): a zero count would make the command compare or serve
+/// nothing and still report success.
+fn positive(flag: &str, value: &str) -> Result<usize, String> {
+    match number(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// The flags `run`, `verify` and `serve` share, each parsed in one place
+/// ([`Shared::parse`]) that both command parsers fall through to.
+struct Shared {
+    seed: u64,
+    scale: usize,
+    jobs: usize,
+    fault_rate: f64,
+    fault_seed: u64,
+    policy: String,
+    obs: Option<ObsFormat>,
+    obs_out: Option<PathBuf>,
+}
+
+/// What [`Shared::parse`] made of one flag.
+enum Parsed {
+    /// A shared flag, applied.
+    Shared,
+    /// `--policy help`: print the registry listing instead of running.
+    PolicyHelp,
+    /// Not a shared flag; the command parser decides.
+    Other,
+}
+
+impl Shared {
+    /// Defaults common to every command; `fault_seed` differs per command.
+    fn new(fault_seed: u64) -> Self {
+        Self {
+            seed: 0xDA1D,
+            scale: 1,
+            jobs: dd_bench::default_jobs(),
+            fault_rate: 0.0,
+            fault_seed,
+            policy: "daydream".to_string(),
+            obs: None,
+            obs_out: None,
+        }
+    }
+
+    /// Applies `flag` (with its `value`, if any) when it is a shared flag.
+    fn parse(&mut self, flag: &str, value: Option<&String>) -> Result<Parsed, String> {
+        match flag {
+            "--seed" => self.seed = number(flag, required(flag, value)?)?,
+            // `--scale 0` clamps to 1, as `WorkflowSpec::scaled_down` does.
+            "--scale" => self.scale = number::<usize>(flag, required(flag, value)?)?.max(1),
+            "--jobs" => self.jobs = number::<usize>(flag, required(flag, value)?)?.max(1),
+            "--fault-rate" => {
+                self.fault_rate = required(flag, value)?
+                    .parse()
+                    .map_err(|_| "--fault-rate takes a probability".to_string())?;
+                if !(0.0..=1.0).contains(&self.fault_rate) {
+                    return Err("--fault-rate must be within [0, 1]".to_string());
+                }
+            }
+            "--fault-seed" => self.fault_seed = number(flag, required(flag, value)?)?,
+            // --scheduler remains as a back-compat alias for --policy.
+            "--policy" | "--scheduler" => match parse_policy(required(flag, value)?)? {
+                PolicyArg::Help => return Ok(Parsed::PolicyHelp),
+                PolicyArg::Named(name) => self.policy = name,
+            },
+            "--obs" => self.obs = Some(ObsFormat::parse(required(flag, value)?)?),
+            "--obs-out" => self.obs_out = Some(PathBuf::from(required(flag, value)?)),
+            _ => return Ok(Parsed::Other),
+        }
+        Ok(Parsed::Shared)
+    }
+}
+
 /// Parses CLI arguments into a [`Command`].
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some(verb) = args.first() else {
@@ -182,101 +269,55 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         other => return Err(format!("unknown command '{other}'")),
     }
 
+    let mut shared = Shared::new(0);
     let mut workflow = None;
     let mut runs = 50usize;
-    let mut policy = "daydream".to_string();
-    let mut seed = 0xDA1Du64;
-    let mut scale = 1usize;
     let mut out = None;
     let mut tolerance = 0.10f64;
-    let mut jobs = dd_bench::default_jobs();
-    let mut fault_rate = 0.0f64;
-    let mut fault_seed = 0u64;
     let mut retry_policy = RecoveryPolicy::backoff();
-    let mut obs = None;
-    let mut obs_out = None;
 
     let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
-        let value = || -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match flag {
-            "--workflow" => workflow = Some(parse_workflow(value()?)?),
-            "--runs" => {
-                runs = value()?
-                    .parse()
-                    .map_err(|_| "--runs takes a number".to_string())?
-            }
-            // --scheduler remains as a back-compat alias for --policy.
-            "--policy" | "--scheduler" => match parse_policy(value()?)? {
-                PolicyArg::Help => return Ok(Command::PolicyHelp),
-                PolicyArg::Named(name) => policy = name,
-            },
-            "--seed" => {
-                seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed takes a number".to_string())?
-            }
-            "--scale" => {
-                scale = value()?
-                    .parse()
-                    .map_err(|_| "--scale takes a number".to_string())?
-            }
-            "--out" => out = Some(PathBuf::from(value()?)),
-            "--jobs" => {
-                jobs = value()?
-                    .parse::<usize>()
-                    .map_err(|_| "--jobs takes a number".to_string())?
-                    .max(1)
-            }
-            "--tolerance" => {
-                let pct: f64 = value()?
-                    .parse()
-                    .map_err(|_| "--tolerance takes a percentage".to_string())?;
-                tolerance = pct / 100.0;
-            }
-            "--fault-rate" => {
-                fault_rate = value()?
-                    .parse()
-                    .map_err(|_| "--fault-rate takes a probability".to_string())?;
-                if !(0.0..=1.0).contains(&fault_rate) {
-                    return Err("--fault-rate must be within [0, 1]".to_string());
+        let value = args.get(i + 1);
+        match shared.parse(flag, value)? {
+            Parsed::Shared => {}
+            Parsed::PolicyHelp => return Ok(Command::PolicyHelp),
+            Parsed::Other => match flag {
+                "--workflow" => workflow = Some(parse_workflow(required(flag, value)?)?),
+                "--runs" => runs = positive(flag, required(flag, value)?)?,
+                "--out" => out = Some(PathBuf::from(required(flag, value)?)),
+                "--tolerance" => {
+                    let pct: f64 = required(flag, value)?
+                        .parse()
+                        .map_err(|_| "--tolerance takes a percentage".to_string())?;
+                    tolerance = pct / 100.0;
                 }
-            }
-            "--fault-seed" => {
-                fault_seed = value()?
-                    .parse()
-                    .map_err(|_| "--fault-seed takes a number".to_string())?
-            }
-            "--retry-policy" => retry_policy = RecoveryPolicy::parse(value()?)?,
-            "--obs" => obs = Some(ObsFormat::parse(value()?)?),
-            "--obs-out" => obs_out = Some(PathBuf::from(value()?)),
-            other => return Err(format!("unknown flag '{other}'")),
+                "--retry-policy" => retry_policy = RecoveryPolicy::parse(required(flag, value)?)?,
+                other => return Err(format!("unknown flag '{other}'")),
+            },
         }
         i += 2;
     }
 
-    if obs_out.is_some() && obs.is_none() {
+    if shared.obs_out.is_some() && shared.obs.is_none() {
         return Err("--obs-out requires --obs".to_string());
     }
 
     let run_args = RunArgs {
         workflow: workflow.ok_or("--workflow is required")?,
         runs,
-        policy,
-        seed,
-        scale,
+        policy: shared.policy,
+        seed: shared.seed,
+        scale: shared.scale,
         out: out.ok_or("--out is required")?,
         tolerance,
-        jobs,
-        fault_rate,
-        fault_seed,
+        jobs: shared.jobs,
+        fault_rate: shared.fault_rate,
+        fault_seed: shared.fault_seed,
         retry_policy,
-        obs,
-        obs_out,
+        obs: shared.obs,
+        obs_out: shared.obs_out,
     };
     Ok(if verb == "run" {
         Command::Run(run_args)
@@ -287,110 +328,64 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
 
 /// Parses `serve` flags (`args` excludes the verb).
 fn parse_serve(args: &[String]) -> Result<Command, String> {
-    let mut serve = ServeArgs {
-        tenants: 4,
-        model: ArrivalModel::Poisson,
-        rate: 0.05,
-        requests: 8,
-        capacity: 4,
-        executor: InnerExecutor::Des,
-        seed: 0xDA1D,
-        scale: 1,
-        jobs: dd_bench::default_jobs(),
-        out: None,
-        fault_rate: 0.0,
-        fault_seed: 7,
-        policy: "daydream".to_string(),
-        obs: None,
-        obs_out: None,
-    };
+    let mut shared = Shared::new(7);
+    let mut tenants = 4;
+    let mut model = ArrivalModel::Poisson;
+    let mut rate = 0.05f64;
+    let mut requests = 8;
+    let mut capacity = 4;
+    let mut executor = InnerExecutor::Des;
+    let mut out = None;
 
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
-        let value = || -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match flag {
-            "--tenants" => {
-                serve.tenants = value()?
-                    .parse()
-                    .map_err(|_| "--tenants takes a number".to_string())?;
-                if serve.tenants == 0 {
-                    return Err("--tenants must be at least 1".to_string());
+        let value = args.get(i + 1);
+        match shared.parse(flag, value)? {
+            Parsed::Shared => {}
+            Parsed::PolicyHelp => return Ok(Command::PolicyHelp),
+            Parsed::Other => match flag {
+                "--tenants" => tenants = positive(flag, required(flag, value)?)?,
+                "--arrival" => model = ArrivalModel::parse(required(flag, value)?)?,
+                "--rate" => {
+                    rate = number(flag, required(flag, value)?)?;
+                    if !(rate > 0.0 && rate.is_finite()) {
+                        return Err("--rate must be a positive rate".to_string());
+                    }
                 }
-            }
-            "--arrival" => serve.model = ArrivalModel::parse(value()?)?,
-            "--rate" => {
-                serve.rate = value()?
-                    .parse()
-                    .map_err(|_| "--rate takes a number".to_string())?;
-                if !(serve.rate > 0.0 && serve.rate.is_finite()) {
-                    return Err("--rate must be a positive rate".to_string());
-                }
-            }
-            "--requests" => {
-                serve.requests = value()?
-                    .parse()
-                    .map_err(|_| "--requests takes a number".to_string())?
-            }
-            "--capacity" => {
-                serve.capacity = value()?
-                    .parse::<usize>()
-                    .map_err(|_| "--capacity takes a number".to_string())?
-                    .max(1)
-            }
-            "--executor" => serve.executor = InnerExecutor::parse(value()?)?,
-            "--seed" => {
-                serve.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed takes a number".to_string())?
-            }
-            "--scale" => {
-                serve.scale = value()?
-                    .parse::<usize>()
-                    .map_err(|_| "--scale takes a number".to_string())?
-                    .max(1)
-            }
-            "--jobs" => {
-                serve.jobs = value()?
-                    .parse::<usize>()
-                    .map_err(|_| "--jobs takes a number".to_string())?
-                    .max(1)
-            }
-            "--out" => serve.out = Some(PathBuf::from(value()?)),
-            "--fault-rate" => {
-                serve.fault_rate = value()?
-                    .parse()
-                    .map_err(|_| "--fault-rate takes a probability".to_string())?;
-                if !(0.0..=1.0).contains(&serve.fault_rate) {
-                    return Err("--fault-rate must be within [0, 1]".to_string());
-                }
-            }
-            "--fault-seed" => {
-                serve.fault_seed = value()?
-                    .parse()
-                    .map_err(|_| "--fault-seed takes a number".to_string())?
-            }
-            "--policy" | "--scheduler" => match parse_policy(value()?)? {
-                PolicyArg::Help => return Ok(Command::PolicyHelp),
-                PolicyArg::Named(name) => serve.policy = name,
+                "--requests" => requests = positive(flag, required(flag, value)?)?,
+                "--capacity" => capacity = number::<usize>(flag, required(flag, value)?)?.max(1),
+                "--executor" => executor = InnerExecutor::parse(required(flag, value)?)?,
+                "--out" => out = Some(PathBuf::from(required(flag, value)?)),
+                other => return Err(format!("unknown flag '{other}'")),
             },
-            "--obs" => serve.obs = Some(ObsFormat::parse(value()?)?),
-            "--obs-out" => serve.obs_out = Some(PathBuf::from(value()?)),
-            other => return Err(format!("unknown flag '{other}'")),
         }
         i += 2;
     }
 
-    if serve.obs_out.is_some() && serve.obs.is_none() {
+    if shared.obs_out.is_some() && shared.obs.is_none() {
         return Err("--obs-out requires --obs".to_string());
     }
-    if serve.obs.is_some() && serve.obs_out.is_none() && serve.out.is_none() {
+    if shared.obs.is_some() && shared.obs_out.is_none() && out.is_none() {
         return Err("--obs requires --out or --obs-out".to_string());
     }
-    Ok(Command::Serve(serve))
+    Ok(Command::Serve(ServeArgs {
+        tenants,
+        model,
+        rate,
+        requests,
+        capacity,
+        executor,
+        seed: shared.seed,
+        scale: shared.scale,
+        jobs: shared.jobs,
+        out,
+        fault_rate: shared.fault_rate,
+        fault_seed: shared.fault_seed,
+        policy: shared.policy,
+        obs: shared.obs,
+        obs_out: shared.obs_out,
+    }))
 }
 
 #[cfg(test)]
@@ -421,6 +416,21 @@ mod tests {
                 assert_eq!(a.out, PathBuf::from("/tmp/x"));
             }
             other => panic!("wrong command: {other:?}"),
+        }
+        // Zero runs would make `verify` report a reproduction that
+        // compared nothing, so both verbs reject it.
+        for verb in ["run", "verify"] {
+            let err = parse_args(&strs(&[
+                verb,
+                "--workflow",
+                "ccl",
+                "--runs",
+                "0",
+                "--out",
+                "x",
+            ]))
+            .expect_err("--runs 0 must be rejected");
+            assert_eq!(err, "--runs must be at least 1");
         }
     }
 
@@ -755,6 +765,10 @@ mod tests {
     #[test]
     fn serve_flag_validation() {
         assert!(parse_args(&strs(&["serve", "--tenants", "0"])).is_err());
+        assert_eq!(
+            parse_args(&strs(&["serve", "--requests", "0"])),
+            Err("--requests must be at least 1".to_string())
+        );
         assert!(parse_args(&strs(&["serve", "--rate", "-1"])).is_err());
         assert!(parse_args(&strs(&["serve", "--rate", "inf"])).is_err());
         assert!(parse_args(&strs(&["serve", "--arrival", "solar"])).is_err());

@@ -71,7 +71,7 @@ pub mod traffic;
 
 pub use cluster::{ClusterKind, ClusterSim};
 pub use contention::ContentionModel;
-pub use des::{BinaryHeapEventQueue, EventQueue, RadixEventQueue, SimTime};
+pub use des::{EventQueue, SimTime};
 pub use executor::{Executor, RunReport, RunRequest};
 pub use faas::{FaasConfig, FaasExecutor, PoolTrigger};
 pub use faas_des::{DesFaasExecutor, DesSession};

@@ -5,8 +5,8 @@
 #![allow(clippy::float_cmp)]
 
 use dd_platform::{
-    BackendStore, BinaryHeapEventQueue, CloudVendor, ClusterKind, ClusterSim, EventQueue,
-    PriceSheet, RadixEventQueue, SimTime, StartupModel, Tier,
+    BackendStore, CloudVendor, ClusterKind, ClusterSim, EventQueue, PriceSheet, SimTime,
+    StartupModel, Tier,
 };
 use dd_wfdag::{ComponentInstance, ComponentTypeId, LanguageRuntime, Phase};
 use proptest::prelude::*;
@@ -26,24 +26,41 @@ fn component(read_mb: f64, write_mb: f64, he: f64, le_slow: f64) -> ComponentIns
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The event queue pops in non-decreasing time order and preserves
-    /// FIFO among equal timestamps, for any insertion order.
+    /// The event queue matches a trivially correct model — a `Vec` kept
+    /// sorted by (time, insertion sequence) — on every pop and every
+    /// `peek_time`, under arbitrary interleavings of pushes and pops in the
+    /// simulators' (monotone) domain: events are always scheduled at or
+    /// after the current virtual clock. Coarse offsets (t/4, often 0) force
+    /// exact timestamp ties, whose FIFO order the model pins.
     #[test]
-    fn event_queue_total_order(times in proptest::collection::vec(0.0f64..1_000.0, 1..200)) {
+    fn event_queue_total_order(
+        ops in proptest::collection::vec((proptest::bool::ANY, 0u32..40), 1..300),
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_secs(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, seq)) = q.pop() {
-            if let Some((pt, pseq)) = last {
-                prop_assert!(t >= pt);
-                if t == pt {
-                    prop_assert!(seq > pseq, "FIFO violated at equal time");
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let mut clock = SimTime::ZERO;
+        for (i, &(is_pop, t)) in ops.iter().enumerate() {
+            if is_pop {
+                let expected = (!model.is_empty()).then(|| model.remove(0));
+                prop_assert_eq!(q.pop(), expected);
+                if let Some((at, _)) = expected {
+                    clock = at;
                 }
+            } else {
+                let time = clock.after(f64::from(t) / 4.0);
+                q.push(time, i);
+                // Sequence numbers grow with `i`, so a stable sort by
+                // time alone is the (time, seq) order.
+                model.push((time, i));
+                model.sort_by_key(|&(at, _)| at);
             }
-            last = Some((t, seq));
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.first().map(|&(at, _)| at));
         }
+        for expected in model {
+            prop_assert_eq!(q.pop(), Some(expected));
+        }
+        prop_assert_eq!(q.pop(), None);
     }
 
     /// Storage notifications: half-complete is the ceil(n/2)-th smallest
@@ -133,62 +150,5 @@ proptest! {
         prop_assert_eq!(t.max(later), later);
         prop_assert_eq!(later.max(t), later);
         prop_assert_eq!(t.since(later), 0.0);
-    }
-
-    /// The radix queue's pop sequence is identical to the reference
-    /// BinaryHeap queue's for any sequence of pushes — including repeated
-    /// timestamps, whose FIFO tie-break must match (time, seq) order.
-    #[test]
-    fn radix_queue_matches_heap_oracle(
-        times in proptest::collection::vec(0u32..50, 1..300),
-    ) {
-        let mut radix = RadixEventQueue::new();
-        let mut heap = BinaryHeapEventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            // Coarse grid (t/4) forces many exact timestamp collisions.
-            let time = SimTime::from_secs(f64::from(t) / 4.0);
-            radix.push(time, i);
-            heap.push(time, i);
-        }
-        loop {
-            let (a, b) = (radix.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
-    }
-
-    /// Same oracle comparison under arbitrary interleavings of pushes and
-    /// pops in the simulators' (monotone) domain: events are always
-    /// scheduled at or after the current virtual clock, with heavy exact
-    /// timestamp collisions.
-    #[test]
-    fn radix_queue_interleaving_matches_oracle(
-        ops in proptest::collection::vec((proptest::bool::ANY, 0u32..40), 1..300),
-    ) {
-        let mut radix = RadixEventQueue::new();
-        let mut heap = BinaryHeapEventQueue::new();
-        let mut clock = SimTime::ZERO;
-        for (i, &(is_pop, t)) in ops.iter().enumerate() {
-            if is_pop {
-                let (a, b) = (radix.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(radix.len(), heap.len());
-                if let Some((at, _)) = a {
-                    clock = at;
-                }
-            } else {
-                // Coarse offsets (t/4, often 0) force exact ties at and
-                // after the current clock.
-                let time = clock.after(f64::from(t) / 4.0);
-                radix.push(time, i);
-                heap.push(time, i);
-                prop_assert_eq!(radix.peek_time(), heap.peek_time());
-            }
-        }
-        loop {
-            let (a, b) = (radix.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
     }
 }

@@ -1,21 +1,17 @@
 //! Perf-equivalence suite: pins the DES hot-path overhaul to the
 //! reference semantics, byte for byte.
 //!
-//! The overhaul (radix event queue, SoA phase state, arena pools, flat
-//! fit kernels, fit/forecast memos) is only legal because every output
-//! stays bit-identical. This suite enforces that three ways:
+//! The overhaul (SoA phase state, arena pools, flat fit kernels,
+//! fit/forecast memos) is only legal because every output stays
+//! bit-identical. This suite enforces that three ways:
 //!
 //! 1. **Pinned figure hashes.** Every report figure (except `overhead`,
 //!    which self-measures wall-clock time) renders at smoke scale, at
 //!    `--jobs 1` and `--jobs 8`, and its FNV-64 hash must match
-//!    `tests/golden/perf_equivalence.txt`. The same golden holds when the
-//!    workspace is built with `--features queue-oracle` — which swaps
-//!    whole simulations onto the reference `BinaryHeap` event queue — so
-//!    a green oracle build proves the radix queue changes nothing:
+//!    `tests/golden/perf_equivalence.txt`:
 //!
 //!    ```bash
 //!    cargo test --test perf_equivalence
-//!    cargo test --test perf_equivalence --features queue-oracle
 //!    ```
 //!
 //! 2. **Executor agreement under faults.** The analytic and DES
