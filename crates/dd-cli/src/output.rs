@@ -193,12 +193,20 @@ mod tests {
 
     #[test]
     fn write_obs_renders_each_format() {
-        use dd_obs::Recorder;
+        use dd_obs::{Event, Recorder};
         let dir = tmpdir("obs");
         let mut rec = MemoryRecorder::new();
-        rec.declare_counter("starts_hot");
-        rec.add("starts_hot", 3);
-        rec.span("phase", "phase", 0.0, 1.0, Vec::new());
+        let hot = rec.declare_counter("starts_hot");
+        rec.add(hot, 3);
+        rec.event(
+            0.0,
+            Event::Phase {
+                phase: 0,
+                concurrency: 3,
+                pool: 3,
+                exec_secs: 1.0,
+            },
+        );
         for format in [ObsFormat::Jsonl, ObsFormat::Chrome, ObsFormat::Summary] {
             let files = RunFiles::new(&dir, 1);
             write_obs(&files, format, &rec).unwrap();

@@ -14,6 +14,9 @@
 //!    same-crate, then workspace-wide; the first non-empty set supplies
 //!    the edges.
 //!
+//! Calls through a `use` alias (`use p::{self as x}`, `use p as x`)
+//! reach this cascade already rewritten to the aliased path by pass 1.
+//!
 //! One precision guard tempers the name matching: functions defined in a
 //! *bin* file are only resolvable from their own file — a bin has no
 //! externally linkable path, so a cross-file name match is always a

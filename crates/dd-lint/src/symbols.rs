@@ -57,6 +57,8 @@ pub(crate) struct Call {
     /// Path segments before the name (`Foo::bar(` → `["Foo"]`), empty for
     /// plain and method calls.
     pub quals: Vec<String>,
+    /// A method call (`x.name(`).
+    pub method: bool,
 }
 
 /// A pre-located rule-token hit inside a function body.
@@ -200,8 +202,12 @@ pub(crate) fn extract_file(rel_path: &str, crate_name: &str, classified: &Classi
     // `#[..]` attribute state carried to the next header.
     let mut attr_exempt = false;
     let mut attr_open: i64 = 0;
-    // Inside a (possibly multi-line) `use` item until its `;`.
+    // Inside a (possibly multi-line) `use` item until its `;`, and the
+    // item's text so far.
     let mut in_use = false;
+    let mut use_text = String::new();
+    // `use` aliases: alias → the path it names.
+    let mut aliases: Vec<(String, Vec<String>)> = Vec::new();
 
     for (idx, line) in classified.lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -228,8 +234,11 @@ pub(crate) fn extract_file(rel_path: &str, crate_name: &str, classified: &Classi
             if fm.is_facade && !line.in_test {
                 collect_idents(trimmed, &mut fm.top_refs, &[]);
             }
+            use_text.push(' ');
+            use_text.push_str(trimmed);
             if trimmed.contains(';') {
                 in_use = false;
+                use_aliases(&use_text, &mut aliases);
             }
             continue;
         }
@@ -347,7 +356,12 @@ pub(crate) fn extract_file(rel_path: &str, crate_name: &str, classified: &Classi
                         if fm.is_facade && !line.in_test {
                             collect_idents(trimmed, &mut fm.top_refs, &[]);
                         }
+                        use_text.clear();
+                        use_text.push_str(trimmed);
                         in_use = !trimmed.contains(';');
+                        if !in_use {
+                            use_aliases(&use_text, &mut aliases);
+                        }
                         attr_exempt = false;
                         continue;
                     }
@@ -467,7 +481,100 @@ pub(crate) fn extract_file(rel_path: &str, crate_name: &str, classified: &Classi
     {
         fm.is_bin = true;
     }
+    resolve_aliases(&mut fm.fns, &aliases);
     fm
+}
+
+/// Records the aliases a `use` item introduces: `use p::{self as x}` and
+/// `use p as x` (also inside nested groups) map `x` to `p`'s segments.
+fn use_aliases(item: &str, out: &mut Vec<(String, Vec<String>)>) {
+    let Some(at) = item.find("use ") else {
+        return;
+    };
+    let mut toks = Vec::new();
+    let mut rest = &item[at + "use ".len()..];
+    loop {
+        rest = rest.trim_start();
+        if let Some(r) = rest.strip_prefix("::") {
+            toks.push("::");
+            rest = r;
+            continue;
+        }
+        let Some(c) = rest.chars().next() else {
+            break;
+        };
+        let len = if is_ident(c) {
+            rest.find(|c| !is_ident(c)).unwrap_or(rest.len())
+        } else if matches!(c, '{' | '}' | ',' | '*') {
+            1
+        } else {
+            break; // `;` ends the item
+        };
+        toks.push(&rest[..len]);
+        rest = &rest[len..];
+    }
+    let mut pos = 0;
+    use_tree(&toks, &mut pos, &[], out);
+}
+
+/// One use tree starting at `toks[*pos]` under path `prefix`; leaves
+/// `*pos` on the `,` or `}` that ends it.
+fn use_tree(
+    toks: &[&str],
+    pos: &mut usize,
+    prefix: &[String],
+    out: &mut Vec<(String, Vec<String>)>,
+) {
+    let mut path = prefix.to_vec();
+    while let Some(&tok) = toks.get(*pos) {
+        match tok {
+            "," | "}" => return,
+            "{" => {
+                *pos += 1;
+                while toks.get(*pos).is_some_and(|t| *t != "}") {
+                    let before = *pos;
+                    use_tree(toks, pos, &path, out);
+                    if *pos == before || toks.get(*pos) == Some(&",") {
+                        *pos += 1;
+                    }
+                }
+                *pos += 1;
+                return;
+            }
+            "as" => {
+                if let Some(alias) = toks.get(*pos + 1).filter(|a| **a != "_") {
+                    out.push((alias.to_string(), path));
+                }
+                *pos += 2;
+                return;
+            }
+            // `self` inside a group names the group's path itself.
+            "::" | "*" | "self" => {}
+            seg => path.push(seg.to_string()),
+        }
+        *pos += 1;
+    }
+}
+
+/// Rewrites calls through a `use` alias to the path it names, so the
+/// graph pass resolves them like any qualified call: with
+/// `use crate::executor::{self as obs}`, `obs::emit(` becomes
+/// `crate::executor::emit(`; with `use p::f as g`, a bare `g(` becomes
+/// `p::f(`.
+fn resolve_aliases(fns: &mut [FnDef], aliases: &[(String, Vec<String>)]) {
+    let target = |name: &str| aliases.iter().find(|(a, _)| a == name).map(|(_, p)| p);
+    for call in fns.iter_mut().flat_map(|f| f.calls.iter_mut()) {
+        if let Some(first) = call.quals.first() {
+            if let Some(path) = target(first) {
+                call.quals.splice(0..1, path.iter().cloned());
+            }
+        } else if !call.method {
+            if let Some((name, quals)) = target(&call.name).and_then(|p| p.split_last()) {
+                call.quals = quals.to_vec();
+                call.name = name.clone();
+            }
+        }
+    }
 }
 
 /// Turns a terminated header into the scope it opens, parsing impl
@@ -838,6 +945,7 @@ fn extract_calls(code: &str, out: &mut Vec<Call>) {
         }
         out.push(Call {
             name: ident.to_string(),
+            method: quals.is_empty() && code[..start].trim_end().ends_with('.'),
             quals,
         });
     }
@@ -978,6 +1086,48 @@ mod tests {
         let fm = extract(src);
         assert!(fm.fns.iter().all(|f| f.in_test));
         assert!(fm.test_refs.contains("helper_under_test"));
+    }
+
+    #[test]
+    fn use_aliases_cover_self_groups_nesting_and_renames() {
+        let mut out = Vec::new();
+        use_aliases(
+            "pub(crate) use crate::a::{self as x, b::{self as y, C}, d as e, f as _, g::*};",
+            &mut out,
+        );
+        use_aliases("use super::h as k;", &mut out);
+        use_aliases("use crate::plain::{One, Two};", &mut out);
+        let seg = |p: &[&str]| p.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            out,
+            vec![
+                ("x".to_string(), seg(&["crate", "a"])),
+                ("y".to_string(), seg(&["crate", "a", "b"])),
+                ("e".to_string(), seg(&["crate", "a", "d"])),
+                ("k".to_string(), seg(&["super", "h"])),
+            ]
+        );
+    }
+
+    #[test]
+    fn aliased_calls_resolve_to_the_aliased_path() {
+        let src = "use crate::executor::{self as obs, Other};\nuse crate::fit::grid as g;\n\
+                   fn f() {\n    obs::emit(1);\n    g(2);\n    v.g(3);\n}\n";
+        let fm = extract(src);
+        let calls: Vec<(Vec<String>, &str)> = fm.fns[0]
+            .calls
+            .iter()
+            .map(|c| (c.quals.clone(), c.name.as_str()))
+            .collect();
+        let seg = |p: &[&str]| p.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            calls,
+            vec![
+                (seg(&["crate", "executor"]), "emit"),
+                (seg(&["crate", "fit"]), "grid"),
+                (seg(&[]), "g"),
+            ]
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Fixture-driven tests for the graph rules. Each reachability rule
 //! (`determinism-taint`, `hot-path-panic`, `hot-path-alloc`) has one
-//! deny and one justified-allow fixture; `dead-pub-api` has a liveness
+//! deny and one justified-allow fixture, and `hot-path-alloc` a second
+//! pair whose calls go through `use` aliases; `dead-pub-api` has a liveness
 //! fixture covering bin, reference-file, and suppression roots. The
 //! second half runs each graph rule alone over the real workspace with
 //! its production scoping from `dd-lint.toml` and asserts cleanliness.
@@ -114,6 +115,39 @@ fn alloc_propagation_justified_allow_is_silent() {
     let src = fixture("alloc_allow.rs");
     let f = analyze(
         &[("crates/simfix/src/alloc_allow.rs", &src)],
+        &[],
+        ALLOC_CONFIG,
+    );
+    assert!(f.is_empty(), "{f:#?}");
+}
+
+#[test]
+fn alloc_propagation_follows_use_aliases() {
+    let src = fixture("alias_deny.rs");
+    let f = analyze(
+        &[("crates/simfix/src/alias_deny.rs", &src)],
+        &[],
+        ALLOC_CONFIG,
+    );
+    let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![20, 24, 28], "{f:#?}");
+    for (finding, callee) in f.iter().zip(["component", "attempt", "label"]) {
+        assert_eq!(finding.rule, "hot-path-alloc");
+        assert!(
+            finding
+                .message
+                .contains(&format!("[call chain: Des::pop_loop -> emit::{callee}]")),
+            "{}",
+            finding.message
+        );
+    }
+}
+
+#[test]
+fn alloc_propagation_through_aliases_justified_allow_is_silent() {
+    let src = fixture("alias_allow.rs");
+    let f = analyze(
+        &[("crates/simfix/src/alias_allow.rs", &src)],
         &[],
         ALLOC_CONFIG,
     );

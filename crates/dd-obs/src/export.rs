@@ -1,12 +1,14 @@
 //! Exporters over a [`MemoryRecorder`]: JSONL, chrome://tracing JSON and
 //! a human per-phase summary table.
 //!
-//! All three are pure functions of the recorded events/metrics; float
-//! rendering goes through Rust's `Display` (shortest round-trip form),
-//! which is deterministic across runs and platforms. Byte-identity of
-//! these strings is the contract the obs determinism tests pin.
+//! All three are pure functions of the recorded events/metrics; each
+//! event's name, category, duration and args are derived from its typed
+//! [`Event`] here, at export time. Float rendering goes through Rust's
+//! `Display` (shortest round-trip form), which is deterministic across
+//! runs and platforms. Byte-identity of these strings is the contract
+//! the obs determinism and export golden tests pin.
 
-use crate::{EventKind, MemoryRecorder, Metric, MetricValue, MetricsRegistry, TraceEvent, Value};
+use crate::{Event, EventKind, MemoryRecorder, Metric, MetricValue, MetricsRegistry, Value};
 use std::fmt::Write as _;
 
 /// JSONL: one JSON object per line — every event in emission order, then
@@ -15,26 +17,28 @@ use std::fmt::Write as _;
 pub fn to_jsonl(rec: &MemoryRecorder) -> String {
     let mut out = String::new();
     for ev in &rec.events {
-        match ev.kind {
+        match ev.kind() {
             EventKind::Span { dur_secs } => {
                 let _ = write!(
                     out,
                     "{{\"type\":\"span\",\"name\":\"{}\",\"cat\":\"{}\",\"ts\":{},\"dur\":{}",
-                    ev.name, ev.cat, ev.ts_secs, dur_secs
+                    ev.name(),
+                    ev.cat(),
+                    ev.ts_secs,
+                    dur_secs
                 );
             }
             EventKind::Instant => {
                 let _ = write!(
                     out,
                     "{{\"type\":\"instant\",\"name\":\"{}\",\"cat\":\"{}\",\"ts\":{}",
-                    ev.name, ev.cat, ev.ts_secs
+                    ev.name(),
+                    ev.cat(),
+                    ev.ts_secs
                 );
             }
         }
-        if !ev.args.is_empty() {
-            out.push_str(",\"args\":");
-            write_args(&mut out, &ev.args);
-        }
+        write_args(&mut out, &ev.event);
         out.push_str("}\n");
     }
     for m in rec.metrics.iter() {
@@ -92,13 +96,13 @@ pub fn to_chrome_trace(rec: &MemoryRecorder) -> String {
             out.push_str(",\n");
         }
         let ts_us = ev.ts_secs * 1e6;
-        match ev.kind {
+        match ev.kind() {
             EventKind::Span { dur_secs } => {
                 let _ = write!(
                     out,
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{},\"dur\":{}",
-                    ev.name,
-                    ev.cat,
+                    ev.name(),
+                    ev.cat(),
                     ts_us,
                     dur_secs * 1e6
                 );
@@ -107,14 +111,13 @@ pub fn to_chrome_trace(rec: &MemoryRecorder) -> String {
                 let _ = write!(
                     out,
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":0,\"ts\":{}",
-                    ev.name, ev.cat, ts_us
+                    ev.name(),
+                    ev.cat(),
+                    ts_us
                 );
             }
         }
-        if !ev.args.is_empty() {
-            out.push_str(",\"args\":");
-            write_args(&mut out, &ev.args);
-        }
+        write_args(&mut out, &ev.event);
         out.push('}');
     }
     out.push_str("\n]}\n");
@@ -133,16 +136,22 @@ pub fn summary(rec: &MemoryRecorder) -> String {
         "concurrency".to_string(),
         "pool".to_string(),
     ]];
-    for ev in rec.events.iter().filter(|e| e.name == "phase") {
-        let EventKind::Span { dur_secs } = ev.kind else {
+    for ev in &rec.events {
+        let Event::Phase {
+            phase,
+            concurrency,
+            pool,
+            exec_secs,
+        } = ev.event
+        else {
             continue;
         };
         rows.push(vec![
-            arg_display(ev, "phase"),
+            format!("{phase}"),
             format!("{:.6}", ev.ts_secs),
-            format!("{dur_secs:.6}"),
-            arg_display(ev, "concurrency"),
-            arg_display(ev, "pool"),
+            format!("{exec_secs:.6}"),
+            format!("{concurrency}"),
+            format!("{pool}"),
         ]);
     }
     render_table(&mut out, &rows);
@@ -207,27 +216,10 @@ fn render_table(out: &mut String, rows: &[Vec<String>]) {
     }
 }
 
-fn arg_display(ev: &TraceEvent, key: &str) -> String {
-    ev.args
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| value_display(v))
-        .unwrap_or_else(|| "-".to_string())
-}
-
-fn value_display(v: &Value) -> String {
-    match v {
-        Value::U64(x) => format!("{x}"),
-        Value::I64(x) => format!("{x}"),
-        Value::F64(x) => format!("{x:.6}"),
-        Value::Str(s) => (*s).to_string(),
-        Value::Text(s) => s.clone(),
-    }
-}
-
-fn write_args(out: &mut String, args: &[(&'static str, Value)]) {
-    out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
+/// The event's `,"args":{…}` (every event carries some).
+fn write_args(out: &mut String, event: &Event) {
+    out.push_str(",\"args\":{");
+    for (i, &(k, v)) in event.args().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -236,14 +228,10 @@ fn write_args(out: &mut String, args: &[(&'static str, Value)]) {
             Value::U64(x) => {
                 let _ = write!(out, "{x}");
             }
-            Value::I64(x) => {
-                let _ = write!(out, "{x}");
-            }
             Value::F64(x) => {
-                let _ = write!(out, "{}", json_f64(*x));
+                let _ = write!(out, "{}", json_f64(x));
             }
             Value::Str(s) => write_json_str(out, s),
-            Value::Text(s) => write_json_str(out, s),
         }
     }
     out.push('}');
@@ -284,27 +272,32 @@ mod tests {
 
     fn sample() -> MemoryRecorder {
         let mut r = MemoryRecorder::new();
-        r.declare_counter("starts_warm");
-        r.span(
-            "phase",
-            "phase",
+        let warm = r.declare_counter("starts_warm");
+        r.event(
             0.001,
-            2.5,
-            vec![
-                ("phase", Value::U64(0)),
-                ("concurrency", Value::U64(4)),
-                ("pool", Value::U64(4)),
-            ],
+            Event::Phase {
+                phase: 0,
+                concurrency: 4,
+                pool: 4,
+                exec_secs: 2.5,
+            },
         );
-        r.instant(
-            "attempt",
-            "fault",
+        r.event(
             1.25,
-            vec![("kind", Value::Text("Crash".into()))],
+            Event::FaultAttempt {
+                phase: 0,
+                slot: 1,
+                attempt: 0,
+                speculative: false,
+                fault: Some(crate::label::Fault::InstanceCrash),
+                outcome: crate::label::Outcome::Failed,
+            },
         );
-        r.add("starts_warm", 4);
-        r.record("keep_alive_used_secs", 0.75);
-        r.set("service_time_secs", 2.501);
+        r.add(warm, 4);
+        let keep_alive = r.declare_histogram("keep_alive_used_secs");
+        r.record(keep_alive, 0.75);
+        let service = r.declare_gauge("service_time_secs");
+        r.set(service, 2.501);
         r
     }
 
@@ -315,7 +308,7 @@ mod tests {
         assert_eq!(lines.len(), 2 + 3);
         assert!(lines[0].starts_with("{\"type\":\"span\",\"name\":\"phase\""));
         assert!(lines[0].contains("\"args\":{\"phase\":0,\"concurrency\":4,\"pool\":4}"));
-        assert!(lines[1].contains("\"kind\":\"Crash\""));
+        assert!(lines[1].contains("\"fault\":\"InstanceCrash\",\"outcome\":\"Failed\""));
         assert!(lines[2].contains("\"type\":\"counter\""));
         assert!(lines[3].contains("\"type\":\"histogram\""));
         assert!(lines[4].contains("\"type\":\"gauge\""));

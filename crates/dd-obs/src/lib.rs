@@ -1,10 +1,11 @@
 //! dd-obs — deterministic observability for the DayDream simulators.
 //!
-//! A zero-dependency tracing + metrics layer. Executors emit *spans*
-//! (scheduler decisions, pool pre-boots, per-component execution, whole
-//! phases), *instants* (fault attempts, Weibull re-fits, tier splits,
-//! pool requests) and *metrics* (start-kind counters, pre-load hit/miss,
-//! retries, keep-alive seconds) through the [`Recorder`] trait.
+//! A zero-dependency tracing + metrics layer. Executors emit typed
+//! [`Event`]s — *spans* (scheduler decisions, pool pre-boots,
+//! per-component execution, whole phases) and *instants* (fault
+//! attempts, Weibull re-fits, tier splits, front-door traffic) — and
+//! *metrics* (start-kind counters, pre-load hit/miss, retries, keep-alive
+//! seconds) through the [`Recorder`] trait.
 //!
 //! Design rules, in decreasing order of importance:
 //!
@@ -13,9 +14,16 @@
 //!    `Vec` in emission/registration order. Two runs of the same seed —
 //!    on any `--jobs` value, on either executor — produce byte-identical
 //!    exports.
-//! 2. **Zero cost when disabled.** [`NoopRecorder`] methods are empty
-//!    defaults; callers guard argument construction behind
-//!    [`Recorder::enabled`], so a disabled recorder adds only a branch.
+//! 2. **Cheap when enabled, zero cost when disabled.** An emission is one
+//!    `Copy` [`Event`] value: names, categories, span durations and the
+//!    `(key, Value)` args are derived from its variant only when an
+//!    exporter or `Debug` renders it, so [`MemoryRecorder`] stores each
+//!    event in 40 bytes and allocates nothing per event beyond the
+//!    amortized growth of its `Vec`. Metrics are addressed by the
+//!    [`MetricId`] their `declare_*` call returned, resolved once per run.
+//!    [`NoopRecorder`] methods are empty defaults; callers guard event
+//!    construction behind [`Recorder::enabled`], so a disabled recorder
+//!    adds only a branch.
 //!    `tests/obs_determinism.rs::a_disabled_recorder_is_never_called_past_enabled`
 //!    pins this with a recorder that panics past `enabled()`.
 //! 3. **No side channels.** Recording never feeds back into simulation
@@ -27,109 +35,57 @@
 //! ([`export::to_chrome_trace`]) and a human per-phase timing table
 //! ([`export::summary`]).
 
+mod event;
 pub mod export;
 
-/// A typed argument value attached to spans and instants.
-///
-/// Names are `&'static str` throughout the crate: every emission site is
-/// in simulator code with literal names, and static names keep the layer
-/// allocation-free except for genuinely dynamic text.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Unsigned integer (counts, indices).
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Finite float (seconds, fractions).
-    F64(f64),
-    /// Static string (tier/kind names).
-    Str(&'static str),
-    /// Owned string for dynamic text (fault kinds rendered via Debug).
-    Text(String),
-}
+pub use event::{label, Args, Event, EventKind, TraceEvent, Value};
 
-/// Span vs point event, chrome-trace style.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// An interval: `[ts_secs, ts_secs + dur_secs]`.
-    Span {
-        /// Duration in virtual seconds (>= 0).
-        dur_secs: f64,
-    },
-    /// A point in virtual time.
-    Instant,
-}
-
-/// One recorded trace event. Events are stored in emission order, which
-/// both executors produce identically (the canonical order is documented
-/// in `dd-platform`'s executor module).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Event name (e.g. `"phase"`, `"component"`, `"weibull_refit"`).
-    pub name: &'static str,
-    /// Category for grouping in trace viewers (`"scheduler"`, `"pool"`,
-    /// `"exec"`, `"fault"`, `"phase"`).
-    pub cat: &'static str,
-    /// Virtual-clock timestamp in seconds.
-    pub ts_secs: f64,
-    /// Span-or-instant plus span duration.
-    pub kind: EventKind,
-    /// Typed key/value arguments, in emission order.
-    pub args: Vec<(&'static str, Value)>,
-}
+/// The handle of one registered metric, returned by the `declare_*`
+/// methods. Callers resolve each name once per run and address the
+/// metric by handle afterwards; a handle is valid for the registry that
+/// issued it (registries only ever append).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MetricId(usize);
 
 /// The sink executors emit into. All methods default to no-ops so that
 /// [`NoopRecorder`] is literally `impl Recorder for NoopRecorder {}` and
 /// the disabled path costs one `enabled()` branch per emission site.
 ///
-/// Metric methods are name-addressed; implementations with a
-/// [`MetricsRegistry`] resolve names to slots on first touch. Executors
-/// call the `declare_*` methods once up front in a fixed order, so the
-/// registry's iteration order is identical across executors and runs.
+/// Executors call the `declare_*` methods once per run, up front in a
+/// fixed order, so the registry's iteration order is identical across
+/// executors and runs, and keep the returned [`MetricId`]s.
 pub trait Recorder {
-    /// Whether emission sites should bother building arguments.
+    /// Whether emission sites should bother building events.
     fn enabled(&self) -> bool {
         false
     }
 
-    /// Record an interval event.
-    fn span(
-        &mut self,
-        _name: &'static str,
-        _cat: &'static str,
-        _ts_secs: f64,
-        _dur_secs: f64,
-        _args: Vec<(&'static str, Value)>,
-    ) {
+    /// Record `event` at virtual time `ts_secs`.
+    fn event(&mut self, _ts_secs: f64, _event: Event) {}
+
+    /// Register a counter (or find the one already registered).
+    fn declare_counter(&mut self, _name: &'static str) -> MetricId {
+        MetricId::default()
     }
 
-    /// Record a point event.
-    fn instant(
-        &mut self,
-        _name: &'static str,
-        _cat: &'static str,
-        _ts_secs: f64,
-        _args: Vec<(&'static str, Value)>,
-    ) {
+    /// Register a gauge.
+    fn declare_gauge(&mut self, _name: &'static str) -> MetricId {
+        MetricId::default()
     }
 
-    /// Pre-register a counter so registry order is emission-independent.
-    fn declare_counter(&mut self, _name: &'static str) {}
-
-    /// Pre-register a gauge.
-    fn declare_gauge(&mut self, _name: &'static str) {}
-
-    /// Pre-register a histogram.
-    fn declare_histogram(&mut self, _name: &'static str) {}
+    /// Register a histogram.
+    fn declare_histogram(&mut self, _name: &'static str) -> MetricId {
+        MetricId::default()
+    }
 
     /// Add `delta` to a counter.
-    fn add(&mut self, _name: &'static str, _delta: u64) {}
+    fn add(&mut self, _id: MetricId, _delta: u64) {}
 
     /// Set a gauge to `value`.
-    fn set(&mut self, _name: &'static str, _value: f64) {}
+    fn set(&mut self, _id: MetricId, _value: f64) {}
 
     /// Record one histogram sample.
-    fn record(&mut self, _name: &'static str, _value: f64) {}
+    fn record(&mut self, _id: MetricId, _value: f64) {}
 }
 
 /// The zero-cost disabled recorder; every method is the trait default.
@@ -160,61 +116,32 @@ impl Recorder for MemoryRecorder {
         true
     }
 
-    fn span(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        ts_secs: f64,
-        dur_secs: f64,
-        args: Vec<(&'static str, Value)>,
-    ) {
-        self.events.push(TraceEvent {
-            name,
-            cat,
-            ts_secs,
-            kind: EventKind::Span { dur_secs },
-            args,
-        });
+    fn event(&mut self, ts_secs: f64, event: Event) {
+        self.events.push(TraceEvent { ts_secs, event });
     }
 
-    fn instant(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        ts_secs: f64,
-        args: Vec<(&'static str, Value)>,
-    ) {
-        self.events.push(TraceEvent {
-            name,
-            cat,
-            ts_secs,
-            kind: EventKind::Instant,
-            args,
-        });
+    fn declare_counter(&mut self, name: &'static str) -> MetricId {
+        self.metrics.declare_counter(name)
     }
 
-    fn declare_counter(&mut self, name: &'static str) {
-        self.metrics.declare_counter(name);
+    fn declare_gauge(&mut self, name: &'static str) -> MetricId {
+        self.metrics.declare_gauge(name)
     }
 
-    fn declare_gauge(&mut self, name: &'static str) {
-        self.metrics.declare_gauge(name);
+    fn declare_histogram(&mut self, name: &'static str) -> MetricId {
+        self.metrics.declare_histogram(name)
     }
 
-    fn declare_histogram(&mut self, name: &'static str) {
-        self.metrics.declare_histogram(name);
+    fn add(&mut self, id: MetricId, delta: u64) {
+        self.metrics.add(id, delta);
     }
 
-    fn add(&mut self, name: &'static str, delta: u64) {
-        self.metrics.add(name, delta);
+    fn set(&mut self, id: MetricId, value: f64) {
+        self.metrics.set(id, value);
     }
 
-    fn set(&mut self, name: &'static str, value: f64) {
-        self.metrics.set(name, value);
-    }
-
-    fn record(&mut self, name: &'static str, value: f64) {
-        self.metrics.record(name, value);
+    fn record(&mut self, id: MetricId, value: f64) {
+        self.metrics.record(id, value);
     }
 }
 
@@ -240,10 +167,9 @@ pub struct Metric {
 }
 
 /// Fixed-registration metric store. Slots are a `Vec` in declaration
-/// order (first-touch order when not pre-declared), so iteration — and
-/// therefore every export — is deterministic. Lookup is a linear scan:
-/// the simulators register ~a dozen metrics, far below the crossover
-/// where a map would win, and a map would drag in ordering hazards.
+/// order, so iteration — and therefore every export — is deterministic.
+/// Declaring looks the name up by a linear scan, once per run; every
+/// update after that indexes the slot through its [`MetricId`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     entries: Vec<Metric>,
@@ -256,52 +182,65 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn slot(&mut self, name: &'static str, fresh: MetricValue) -> &mut MetricValue {
-        if let Some(idx) = self.entries.iter().position(|m| m.name == name) {
-            return &mut self.entries[idx].value;
+    /// The slot of `name`, appended as `fresh` if absent.
+    ///
+    /// # Panics
+    /// Panics if `name` is registered as a different kind of metric.
+    fn declare(&mut self, name: &'static str, fresh: MetricValue) -> MetricId {
+        match self.entries.iter().position(|m| m.name == name) {
+            Some(idx) => {
+                let held = &self.entries[idx].value;
+                if std::mem::discriminant(held) != std::mem::discriminant(&fresh) {
+                    unreachable_kind(name, kind_name(&fresh), held);
+                }
+                MetricId(idx)
+            }
+            None => {
+                self.entries.push(Metric { name, value: fresh });
+                MetricId(self.entries.len() - 1)
+            }
         }
-        self.entries.push(Metric { name, value: fresh });
-        let last = self.entries.len() - 1;
-        &mut self.entries[last].value
     }
 
-    /// Registers `name` as a counter if absent.
-    pub fn declare_counter(&mut self, name: &'static str) {
-        self.slot(name, MetricValue::Counter(0));
+    /// Registers `name` as a counter if absent; returns its handle.
+    pub fn declare_counter(&mut self, name: &'static str) -> MetricId {
+        self.declare(name, MetricValue::Counter(0))
     }
 
-    /// Registers `name` as a gauge if absent.
-    pub fn declare_gauge(&mut self, name: &'static str) {
-        self.slot(name, MetricValue::Gauge(0.0));
+    /// Registers `name` as a gauge if absent; returns its handle.
+    pub fn declare_gauge(&mut self, name: &'static str) -> MetricId {
+        self.declare(name, MetricValue::Gauge(0.0))
     }
 
-    /// Registers `name` as a histogram if absent.
-    pub fn declare_histogram(&mut self, name: &'static str) {
-        self.slot(name, MetricValue::Histogram(Histogram::new()));
+    /// Registers `name` as a histogram if absent; returns its handle.
+    pub fn declare_histogram(&mut self, name: &'static str) -> MetricId {
+        self.declare(name, MetricValue::Histogram(Histogram::new()))
     }
 
-    /// Adds `delta` to the counter `name`, declaring it if needed.
-    pub fn add(&mut self, name: &'static str, delta: u64) {
-        match self.slot(name, MetricValue::Counter(0)) {
+    /// Adds `delta` to the counter `id`.
+    pub fn add(&mut self, id: MetricId, delta: u64) {
+        let m = &mut self.entries[id.0];
+        match &mut m.value {
             MetricValue::Counter(c) => *c += delta,
-            other => unreachable_kind(name, "counter", other),
+            other => unreachable_kind(m.name, "counter", other),
         }
     }
 
-    /// Sets the gauge `name`, declaring it if needed.
-    pub fn set(&mut self, name: &'static str, value: f64) {
-        match self.slot(name, MetricValue::Gauge(0.0)) {
+    /// Sets the gauge `id`.
+    pub fn set(&mut self, id: MetricId, value: f64) {
+        let m = &mut self.entries[id.0];
+        match &mut m.value {
             MetricValue::Gauge(g) => *g = value,
-            other => unreachable_kind(name, "gauge", other),
+            other => unreachable_kind(m.name, "gauge", other),
         }
     }
 
-    /// Records a sample into the histogram `name`, declaring it if
-    /// needed.
-    pub fn record(&mut self, name: &'static str, value: f64) {
-        match self.slot(name, MetricValue::Histogram(Histogram::new())) {
+    /// Records a sample into the histogram `id`.
+    pub fn record(&mut self, id: MetricId, value: f64) {
+        let m = &mut self.entries[id.0];
+        match &mut m.value {
             MetricValue::Histogram(h) => h.record(value),
-            other => unreachable_kind(name, "histogram", other),
+            other => unreachable_kind(m.name, "histogram", other),
         }
     }
 
@@ -347,7 +286,8 @@ impl MetricsRegistry {
     /// metrics.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for m in &other.entries {
-            match (&m.value, self.slot(m.name, m.value.clone_empty())) {
+            let id = self.declare(m.name, m.value.clone_empty());
+            match (&m.value, &mut self.entries[id.0].value) {
                 (MetricValue::Counter(c), MetricValue::Counter(mine)) => *mine += c,
                 (MetricValue::Gauge(g), MetricValue::Gauge(mine)) => *mine += g,
                 (MetricValue::Histogram(h), MetricValue::Histogram(mine)) => mine.merge(h),
@@ -468,44 +408,62 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    fn phase(phase: usize) -> Event {
+        Event::Phase {
+            phase,
+            concurrency: 4,
+            pool: 4,
+            exec_secs: 1.0,
+        }
+    }
+
     #[test]
     fn noop_recorder_is_disabled_and_silent() {
         let mut r = NoopRecorder;
         assert!(!r.enabled());
-        r.span("s", "c", 0.0, 1.0, vec![]);
-        r.instant("i", "c", 0.0, vec![]);
-        r.add("n", 1);
-        r.set("g", 1.0);
-        r.record("h", 1.0);
+        r.event(0.0, phase(0));
+        let id = r.declare_counter("n");
+        r.add(id, 1);
+        r.set(id, 1.0);
+        r.record(id, 1.0);
     }
 
     #[test]
     fn memory_recorder_preserves_emission_order() {
         let mut r = MemoryRecorder::new();
-        r.span("a", "c", 0.0, 1.0, vec![("k", Value::U64(1))]);
-        r.instant("b", "c", 0.5, vec![]);
+        r.event(0.0, phase(0));
+        r.event(
+            0.5,
+            Event::Arrival {
+                tenant: 1,
+                index: 2,
+            },
+        );
         assert_eq!(r.events.len(), 2);
-        assert_eq!(r.events[0].name, "a");
-        assert_eq!(r.events[1].kind, EventKind::Instant);
+        assert_eq!(r.events[0].name(), "phase");
+        assert_eq!(r.events[1].kind(), EventKind::Instant);
     }
 
     #[test]
     fn registry_iterates_in_declaration_order() {
         let mut m = MetricsRegistry::new();
-        m.declare_counter("z");
+        let z = m.declare_counter("z");
         m.declare_gauge("a");
         m.declare_histogram("m");
-        m.add("z", 3);
+        m.add(z, 3);
         let names: Vec<&str> = m.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["z", "a", "m"]);
         assert_eq!(m.counter("z"), 3);
     }
 
     #[test]
-    fn undeclared_touch_registers_in_first_touch_order() {
+    fn redeclaring_keeps_the_first_declared_slot() {
         let mut m = MetricsRegistry::new();
-        m.record("h", 0.5);
-        m.add("c", 1);
+        let h = m.declare_histogram("h");
+        let c = m.declare_counter("c");
+        assert_eq!(m.declare_histogram("h"), h);
+        m.record(h, 0.5);
+        m.add(c, 1);
         let names: Vec<&str> = m.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["h", "c"]);
     }
@@ -513,11 +471,15 @@ mod tests {
     #[test]
     fn merge_accumulates_and_appends_missing_names() {
         let mut a = MetricsRegistry::new();
-        a.add("shared", 1);
+        let shared = a.declare_counter("shared");
+        a.add(shared, 1);
         let mut b = MetricsRegistry::new();
-        b.add("shared", 2);
-        b.set("only_b", 4.0);
-        b.record("h", 2.0);
+        let shared = b.declare_counter("shared");
+        b.add(shared, 2);
+        let only_b = b.declare_gauge("only_b");
+        b.set(only_b, 4.0);
+        let h = b.declare_histogram("h");
+        b.record(h, 2.0);
         a.merge(&b);
         assert_eq!(a.counter("shared"), 3);
         let names: Vec<&str> = a.iter().map(|e| e.name).collect();
@@ -547,7 +509,7 @@ mod tests {
     #[should_panic(expected = "registered as counter")]
     fn kind_mismatch_panics() {
         let mut m = MetricsRegistry::new();
-        m.add("x", 1);
-        m.set("x", 1.0);
+        m.declare_counter("x");
+        m.declare_gauge("x");
     }
 }

@@ -1,7 +1,9 @@
 //! Process-wide simulation throughput counters.
 //!
-//! The macro-benchmark harness (`dd-bench bench`) reports simulated
-//! component-starts/sec and DES events/sec. Both executors accumulate
+//! The repository benchmark (`perf`, `crates/dd-bench/src/bin/perf`)
+//! reads them around each timed region for its `starts_per_s`,
+//! `sim.starts`, `sim.des_events` and `platform.faas_des.events_per_s`
+//! metrics. Both executors accumulate
 //! into per-run local integers and flush here **once per run**, so the
 //! hot loops never touch an atomic; the flush itself is a single relaxed
 //! `fetch_add`. The counters are observability only — they never feed

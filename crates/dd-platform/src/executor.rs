@@ -27,13 +27,13 @@
 //! 3. run end: the `service_time_secs` gauge.
 
 use crate::des::SimTime;
-use crate::faults::{ComponentTimeline, FaultConfig, RecoveryPolicy};
+use crate::faults::{AttemptOutcome, ComponentTimeline, FaultConfig, FaultKind, RecoveryPolicy};
 use crate::pool::PooledInstance;
 use crate::sched::{PhaseObservation, SchedulerEvent, ServerlessScheduler, StartKind};
 use crate::telemetry::{PhaseRecord, RunOutcome};
 use crate::tier::Tier;
 use crate::trace::ExecutionTrace;
-use dd_obs::{Recorder, Value};
+use dd_obs::{label, Event, MetricId, Recorder};
 use dd_wfdag::{LanguageRuntime, WorkflowRun};
 
 /// Everything one execution needs, assembled with a builder.
@@ -193,79 +193,87 @@ pub mod metrics {
     pub const SERVICE_TIME_SECS: &str = "service_time_secs";
 }
 
+/// The executor metrics' handles in one recorder, in canonical
+/// registration order; resolved once per run by [`declare_metrics`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MetricIds {
+    starts_warm: MetricId,
+    starts_hot: MetricId,
+    starts_cold: MetricId,
+    preload_hits: MetricId,
+    preload_misses: MetricId,
+    retries: MetricId,
+    fault_attempts: MetricId,
+    heap_drains: MetricId,
+    weibull_refits: MetricId,
+    tier_splits: MetricId,
+    keep_alive_used: MetricId,
+    pub(crate) keep_alive_wasted: MetricId,
+    phase_exec: MetricId,
+    pub(crate) service_time: MetricId,
+}
+
 /// Registers every executor metric in the canonical fixed order, so the
 /// registry iterates identically no matter which metrics a given run
-/// happens to touch.
-pub(crate) fn declare_metrics(rec: &mut dyn Recorder) {
+/// happens to touch, and returns their handles.
+pub(crate) fn declare_metrics(rec: &mut dyn Recorder) -> MetricIds {
     use metrics as m;
-    for c in [
-        m::STARTS_WARM,
-        m::STARTS_HOT,
-        m::STARTS_COLD,
-        m::PRELOAD_HITS,
-        m::PRELOAD_MISSES,
-        m::RETRIES,
-        m::FAULT_ATTEMPTS,
-        m::HEAP_DRAINS,
-        m::WEIBULL_REFITS,
-        m::TIER_SPLITS,
-    ] {
-        rec.declare_counter(c);
+    // Struct-literal fields evaluate in the order written: this is the
+    // registration order.
+    MetricIds {
+        starts_warm: rec.declare_counter(m::STARTS_WARM),
+        starts_hot: rec.declare_counter(m::STARTS_HOT),
+        starts_cold: rec.declare_counter(m::STARTS_COLD),
+        preload_hits: rec.declare_counter(m::PRELOAD_HITS),
+        preload_misses: rec.declare_counter(m::PRELOAD_MISSES),
+        retries: rec.declare_counter(m::RETRIES),
+        fault_attempts: rec.declare_counter(m::FAULT_ATTEMPTS),
+        heap_drains: rec.declare_counter(m::HEAP_DRAINS),
+        weibull_refits: rec.declare_counter(m::WEIBULL_REFITS),
+        tier_splits: rec.declare_counter(m::TIER_SPLITS),
+        keep_alive_used: rec.declare_histogram(m::KEEP_ALIVE_USED_SECS),
+        keep_alive_wasted: rec.declare_histogram(m::KEEP_ALIVE_WASTED_SECS),
+        phase_exec: rec.declare_histogram(m::PHASE_EXEC_SECS),
+        service_time: rec.declare_gauge(m::SERVICE_TIME_SECS),
     }
-    for h in [
-        m::KEEP_ALIVE_USED_SECS,
-        m::KEEP_ALIVE_WASTED_SECS,
-        m::PHASE_EXEC_SECS,
-    ] {
-        rec.declare_histogram(h);
-    }
-    rec.declare_gauge(m::SERVICE_TIME_SECS);
 }
 
 /// Drains the scheduler's buffered decision events, stamping them at
 /// `at` (the virtual time of the decision).
 pub(crate) fn emit_sched_events(
     rec: &mut dyn Recorder,
+    m: &MetricIds,
     at: SimTime,
     scheduler: &mut dyn ServerlessScheduler,
 ) {
     for event in scheduler.drain_events() {
-        match event {
+        let event = match event {
             SchedulerEvent::WeibullRefit {
                 alpha,
                 beta,
                 intervals,
             } => {
-                rec.add(metrics::WEIBULL_REFITS, 1);
-                rec.instant(
-                    "weibull_refit",
-                    "scheduler",
-                    at.as_secs(),
-                    vec![
-                        ("alpha", Value::F64(alpha)),
-                        ("beta", Value::F64(beta)),
-                        ("intervals", Value::U64(intervals as u64)),
-                    ],
-                );
+                rec.add(m.weibull_refits, 1);
+                Event::WeibullRefit {
+                    alpha,
+                    beta,
+                    intervals,
+                }
             }
             SchedulerEvent::TierSplit {
                 pool,
                 high_end,
                 low_end,
             } => {
-                rec.add(metrics::TIER_SPLITS, 1);
-                rec.instant(
-                    "tier_split",
-                    "scheduler",
-                    at.as_secs(),
-                    vec![
-                        ("pool", Value::U64(u64::from(pool))),
-                        ("high_end", Value::U64(u64::from(high_end))),
-                        ("low_end", Value::U64(u64::from(low_end))),
-                    ],
-                );
+                rec.add(m.tier_splits, 1);
+                Event::TierSplit {
+                    pool,
+                    high_end,
+                    low_end,
+                }
             }
-        }
+        };
+        rec.event(at.as_secs(), event);
     }
 }
 
@@ -277,19 +285,17 @@ pub(crate) fn emit_pool(
     requested_at: SimTime,
     pool: &[PooledInstance],
 ) {
-    let prepare = pool
+    let prepare_secs = pool
         .iter()
         .map(|i| i.ready_at.since(i.requested_at))
         .fold(0.0_f64, f64::max);
-    rec.span(
-        "pool_preboot",
-        "pool",
+    rec.event(
         requested_at.as_secs(),
-        prepare,
-        vec![
-            ("phase", Value::U64(phase as u64)),
-            ("size", Value::U64(pool.len() as u64)),
-        ],
+        Event::PoolPreboot {
+            phase,
+            size: pool.len(),
+            prepare_secs,
+        },
     );
 }
 
@@ -302,15 +308,13 @@ pub(crate) fn emit_place(
     overhead_secs: f64,
     components: usize,
 ) {
-    rec.span(
-        "sched_place",
-        "scheduler",
+    rec.event(
         at.as_secs(),
-        overhead_secs,
-        vec![
-            ("phase", Value::U64(phase as u64)),
-            ("components", Value::U64(components as u64)),
-        ],
+        Event::SchedPlace {
+            phase,
+            components,
+            overhead_secs,
+        },
     );
 }
 
@@ -338,86 +342,91 @@ pub(crate) struct ComponentObs<'t> {
 }
 
 /// Emits one component's span, fault-attempt instants and metrics.
-pub(crate) fn emit_component(rec: &mut dyn Recorder, c: &ComponentObs<'_>) {
-    let kind_metric = match c.kind {
-        StartKind::Warm => metrics::STARTS_WARM,
-        StartKind::Hot => metrics::STARTS_HOT,
-        StartKind::Cold => metrics::STARTS_COLD,
+pub(crate) fn emit_component(rec: &mut dyn Recorder, m: &MetricIds, c: &ComponentObs<'_>) {
+    let (kind_metric, kind) = match c.kind {
+        StartKind::Warm => (m.starts_warm, label::Start::Warm),
+        StartKind::Hot => (m.starts_hot, label::Start::Hot),
+        StartKind::Cold => (m.starts_cold, label::Start::Cold),
     };
     rec.add(kind_metric, 1);
     if c.heap_drains > 0 {
-        rec.add(metrics::HEAP_DRAINS, c.heap_drains);
+        rec.add(m.heap_drains, c.heap_drains);
     }
     if let Some(ka) = c.keep_alive_secs {
-        rec.record(metrics::KEEP_ALIVE_USED_SECS, ka);
+        rec.record(m.keep_alive_used, ka);
     }
-    rec.span(
-        "component",
-        "exec",
+    rec.event(
         c.start.as_secs(),
-        c.timeline.completion_offset_secs,
-        vec![
-            ("phase", Value::U64(c.phase as u64)),
-            ("slot", Value::U64(c.slot as u64)),
-            ("kind", Value::Str(c.kind.name())),
-            ("tier", Value::Str(c.tier.name())),
-            ("attempts", Value::U64(c.timeline.attempt_count() as u64)),
-        ],
+        Event::Component {
+            phase: c.phase,
+            slot: c.slot,
+            kind,
+            tier: match c.tier {
+                Tier::HighEnd => label::Tier::HighEnd,
+                Tier::LowEnd => label::Tier::LowEnd,
+            },
+            attempts: c.timeline.attempt_count(),
+            dur_secs: c.timeline.completion_offset_secs,
+        },
     );
     for a in &c.timeline.attempts {
-        rec.instant(
-            "fault_attempt",
-            "fault",
+        rec.event(
             c.start.after(a.start_offset_secs).as_secs(),
-            vec![
-                ("phase", Value::U64(c.phase as u64)),
-                ("slot", Value::U64(c.slot as u64)),
-                ("attempt", Value::U64(u64::from(a.index))),
-                ("speculative", Value::U64(u64::from(a.speculative))),
-                (
-                    "fault",
-                    match a.fault {
-                        Some(f) => Value::Text(format!("{f:?}")),
-                        None => Value::Str("none"),
-                    },
-                ),
-                ("outcome", Value::Text(format!("{:?}", a.outcome))),
-            ],
+            Event::FaultAttempt {
+                phase: c.phase,
+                slot: c.slot,
+                attempt: a.index,
+                speculative: a.speculative,
+                fault: a.fault.map(|f| match f {
+                    FaultKind::TransientInvocation => label::Fault::TransientInvocation,
+                    FaultKind::InstanceCrash => label::Fault::InstanceCrash,
+                    FaultKind::StartFailure => label::Fault::StartFailure,
+                    FaultKind::StorageHiccup => label::Fault::StorageHiccup,
+                    FaultKind::Straggler => label::Fault::Straggler,
+                }),
+                outcome: match a.outcome {
+                    AttemptOutcome::Completed => label::Outcome::Completed,
+                    AttemptOutcome::Failed => label::Outcome::Failed,
+                    AttemptOutcome::TimedOut => label::Outcome::TimedOut,
+                    AttemptOutcome::Superseded => label::Outcome::Superseded,
+                },
+            },
         );
     }
-    rec.add(metrics::FAULT_ATTEMPTS, c.timeline.attempt_count() as u64);
-    rec.add(metrics::RETRIES, u64::from(c.timeline.retried()));
+    rec.add(m.fault_attempts, u64::from(c.timeline.attempt_count()));
+    rec.add(m.retries, u64::from(c.timeline.retried()));
 }
 
 /// Emits the post-phase observation instant at `at` (phase completion).
 pub(crate) fn emit_observe(rec: &mut dyn Recorder, at: SimTime, obs: &PhaseObservation) {
-    rec.instant(
-        "observe",
-        "scheduler",
+    rec.event(
         at.as_secs(),
-        vec![
-            ("phase", Value::U64(obs.index as u64)),
-            ("concurrency", Value::U64(u64::from(obs.concurrency))),
-            ("friendly_fraction", Value::F64(obs.friendly_fraction)),
-            ("retried", Value::U64(u64::from(obs.retried_components))),
-        ],
+        Event::Observe {
+            phase: obs.index,
+            concurrency: obs.concurrency,
+            friendly_fraction: obs.friendly_fraction,
+            retried: obs.retried_components,
+        },
     );
 }
 
 /// Emits the whole-phase span plus the phase-level metrics.
-pub(crate) fn emit_phase(rec: &mut dyn Recorder, started_at: SimTime, record: &PhaseRecord) {
-    rec.add(metrics::PRELOAD_HITS, u64::from(record.used_instances));
-    rec.add(metrics::PRELOAD_MISSES, u64::from(record.wasted_instances));
-    rec.record(metrics::PHASE_EXEC_SECS, record.exec_secs);
-    rec.span(
-        "phase",
-        "phase",
+pub(crate) fn emit_phase(
+    rec: &mut dyn Recorder,
+    m: &MetricIds,
+    started_at: SimTime,
+    record: &PhaseRecord,
+) {
+    rec.add(m.preload_hits, u64::from(record.used_instances));
+    rec.add(m.preload_misses, u64::from(record.wasted_instances));
+    rec.record(m.phase_exec, record.exec_secs);
+    rec.event(
         started_at.as_secs(),
-        record.exec_secs,
-        vec![
-            ("phase", Value::U64(record.index as u64)),
-            ("concurrency", Value::U64(u64::from(record.concurrency))),
-            ("pool", Value::U64(u64::from(record.pool_size))),
-        ],
+        Event::Phase {
+            phase: record.index,
+            concurrency: record.concurrency,
+            pool: record.pool_size,
+            exec_secs: record.exec_secs,
+        },
     );
 }

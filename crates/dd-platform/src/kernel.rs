@@ -19,7 +19,7 @@
 //! emission order (see [`crate::executor`]) are one piece of code.
 
 use crate::des::SimTime;
-use crate::executor::{self as obs, ComponentObs, RunReport, RunRequest};
+use crate::executor::{self as obs, ComponentObs, MetricIds, RunReport, RunRequest};
 use crate::faas::{FaasExecutor, PoolTrigger};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::pool::{resolve_slot, InstanceId, InstanceView, PoolRequest, PooledInstance};
@@ -82,7 +82,8 @@ pub(crate) struct Kernel<'k> {
     runtimes: &'k [LanguageRuntime],
     scheduler: &'k mut dyn ServerlessScheduler,
     rec: &'k mut dyn Recorder,
-    recording: bool,
+    /// The recorder's metric handles; `None` when it is disabled.
+    metric_ids: Option<MetricIds>,
     scratch: &'k mut Scratch,
     plan: FaultPlan,
     hints: StorageHints,
@@ -112,9 +113,7 @@ pub(crate) fn execute(
         None => &mut noop,
     };
     let recording = rec.enabled();
-    if recording {
-        obs::declare_metrics(rec);
-    }
+    let metric_ids = recording.then(|| obs::declare_metrics(rec));
     scheduler.set_event_recording(recording);
     // One fault plan per run: the run index is mixed into the seed so
     // different runs of a sweep see different fault placements. A
@@ -132,7 +131,7 @@ pub(crate) fn execute(
         runtimes,
         scheduler,
         rec,
-        recording,
+        metric_ids,
         scratch,
         plan: FaultPlan::for_run(faults, recovery, run.label.run_index as u64),
         hints,
@@ -154,8 +153,8 @@ pub(crate) fn execute(
     };
     let request = kernel.scheduler.initial_pool(&info);
     kernel.spawn(request, SimTime::ZERO);
-    if recording {
-        obs::emit_sched_events(kernel.rec, SimTime::ZERO, kernel.scheduler);
+    if let Some(m) = kernel.metric_ids {
+        obs::emit_sched_events(kernel.rec, &m, SimTime::ZERO, kernel.scheduler);
         obs::emit_pool(kernel.rec, 0, SimTime::ZERO, &kernel.scratch.pending);
     }
 
@@ -208,9 +207,9 @@ impl Kernel<'_> {
         scratch.views.extend(pool.iter().map(InstanceView::from));
         let placements = self.scheduler.place(phase, &scratch.views, now);
         let n = phase.components.len();
-        if self.recording {
+        if let Some(m) = self.metric_ids {
             obs::emit_place(self.rec, index, at, overhead_secs, n);
-            obs::emit_sched_events(self.rec, now, self.scheduler);
+            obs::emit_sched_events(self.rec, &m, now, self.scheduler);
         }
         dd_invariant!(
             placements.len() == n,
@@ -342,9 +341,10 @@ impl Kernel<'_> {
                         busy_secs: a.busy_secs,
                     }));
             }
-            if self.recording {
+            if let Some(m) = self.metric_ids {
                 obs::emit_component(
                     self.rec,
+                    &m,
                     &ComponentObs {
                         phase: index,
                         slot,
@@ -389,8 +389,8 @@ impl Kernel<'_> {
                 p.wasted += 1;
                 self.ledger.keep_alive_wasted += pricing.cost(inst.tier, idle);
                 self.utilization.record_idle(inst.tier, idle);
-                if self.recording {
-                    self.rec.record(obs::metrics::KEEP_ALIVE_WASTED_SECS, idle);
+                if let Some(m) = self.metric_ids {
+                    self.rec.record(m.keep_alive_wasted, idle);
                 }
             }
             if let Some(t) = self.trace.as_mut() {
@@ -446,8 +446,8 @@ impl Kernel<'_> {
             .pool_for_next_phase(self.phase.index, &observation);
         self.phase.observation = Some(observation);
         self.spawn(request, at);
-        if self.recording {
-            obs::emit_sched_events(self.rec, at, self.scheduler);
+        if let Some(m) = self.metric_ids {
+            obs::emit_sched_events(self.rec, &m, at, self.scheduler);
             obs::emit_pool(self.rec, next, at, &self.scratch.pending);
         }
     }
@@ -482,10 +482,10 @@ impl Kernel<'_> {
             ledger: self.ledger.delta_since(&p.ledger_mark),
             faults: self.fault_stats.delta_since(&p.faults_mark),
         };
-        if self.recording {
+        if let Some(m) = self.metric_ids {
             obs::emit_observe(self.rec, at, &observation);
-            obs::emit_sched_events(self.rec, at, self.scheduler);
-            obs::emit_phase(self.rec, p.started_at, &record);
+            obs::emit_sched_events(self.rec, &m, at, self.scheduler);
+            obs::emit_phase(self.rec, &m, p.started_at, &record);
         }
         self.records.push(record);
         if let Some(t) = self.trace.as_mut() {
@@ -531,9 +531,8 @@ impl Kernel<'_> {
             self.ledger.storage *= 1.0 - self.hints.colocated_read_fraction;
         }
         self.ledger.debug_validate();
-        if self.recording {
-            self.rec
-                .set(obs::metrics::SERVICE_TIME_SECS, self.end.as_secs());
+        if let Some(m) = self.metric_ids {
+            self.rec.set(m.service_time, self.end.as_secs());
         }
         // Every component starts exactly once (checked at phase close).
         let starts = self.records.iter().map(|r| u64::from(r.concurrency));

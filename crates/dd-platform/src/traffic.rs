@@ -27,7 +27,7 @@
 
 use crate::des::SimTime;
 use crate::telemetry::{CostLedger, RunOutcome};
-use dd_obs::{Recorder, Value};
+use dd_obs::{Event, MetricId, Recorder};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Identifier of a tenant stream within one serve session.
@@ -452,27 +452,117 @@ pub mod metrics {
     pub const TRAFFIC_MAKESPAN_SECS: &str = "traffic_makespan_secs";
 }
 
-/// Registers the front-door metrics (aggregate first, then the
-/// per-tenant table rows in tenant order) so registry iteration is
-/// identical no matter which tenants see traffic.
-fn declare_traffic_metrics(rec: &mut dyn Recorder, tenants: usize) {
-    use metrics as m;
-    for c in [
-        m::TRAFFIC_ARRIVALS,
-        m::TRAFFIC_ADMISSIONS,
-        m::TRAFFIC_COMPLETIONS,
-        m::SLA_MISSES,
-    ] {
-        rec.declare_counter(c);
+/// The front door's recorder plus, when it is enabled, its metric
+/// handles, resolved once per [`FrontDoor::serve`] call.
+struct DoorObs<'r> {
+    rec: &'r mut dyn Recorder,
+    ids: Option<DoorMetricIds>,
+}
+
+struct DoorMetricIds {
+    arrivals: MetricId,
+    admissions: MetricId,
+    completions: MetricId,
+    sla_misses: MetricId,
+    admission_delay: MetricId,
+    sojourn: MetricId,
+    makespan: MetricId,
+    /// `[admission delay, sojourn, SLA misses]` of the first
+    /// [`TENANT_METRIC_CAP`] tenants.
+    tenants: Vec<[MetricId; 3]>,
+}
+
+impl<'r> DoorObs<'r> {
+    /// Registers the front-door metrics (aggregate first, then the
+    /// per-tenant table rows in tenant order) so registry iteration is
+    /// identical no matter which tenants see traffic. Struct-literal
+    /// fields evaluate in the order written: this is the registration
+    /// order.
+    fn new(rec: &'r mut dyn Recorder, tenants: usize) -> Self {
+        use metrics as m;
+        let ids = rec.enabled().then(|| DoorMetricIds {
+            arrivals: rec.declare_counter(m::TRAFFIC_ARRIVALS),
+            admissions: rec.declare_counter(m::TRAFFIC_ADMISSIONS),
+            completions: rec.declare_counter(m::TRAFFIC_COMPLETIONS),
+            sla_misses: rec.declare_counter(m::SLA_MISSES),
+            admission_delay: rec.declare_histogram(m::ADMISSION_DELAY_SECS),
+            sojourn: rec.declare_histogram(m::SOJOURN_SECS),
+            makespan: rec.declare_gauge(m::TRAFFIC_MAKESPAN_SECS),
+            tenants: (0..tenants.min(TENANT_METRIC_CAP))
+                .map(|t| {
+                    [
+                        rec.declare_histogram(TENANT_ADMISSION_DELAY[t]),
+                        rec.declare_histogram(TENANT_SOJOURN[t]),
+                        rec.declare_counter(TENANT_SLA_MISSES[t]),
+                    ]
+                })
+                .collect(),
+        });
+        DoorObs { rec, ids }
     }
-    for h in [m::ADMISSION_DELAY_SECS, m::SOJOURN_SECS] {
-        rec.declare_histogram(h);
+
+    fn arrival(&mut self, arrival: Arrival) {
+        if let Some(ids) = &self.ids {
+            self.rec.add(ids.arrivals, 1);
+            self.rec.event(
+                arrival.at.as_secs(),
+                Event::Arrival {
+                    tenant: arrival.tenant.0,
+                    index: arrival.index,
+                },
+            );
+        }
     }
-    rec.declare_gauge(m::TRAFFIC_MAKESPAN_SECS);
-    for t in 0..tenants.min(TENANT_METRIC_CAP) {
-        rec.declare_histogram(TENANT_ADMISSION_DELAY[t]);
-        rec.declare_histogram(TENANT_SOJOURN[t]);
-        rec.declare_counter(TENANT_SLA_MISSES[t]);
+
+    /// Tenant position `t` admitted `arrival` at `now` after `delay`.
+    fn admit(&mut self, now: SimTime, t: usize, arrival: Arrival, delay: f64) {
+        if let Some(ids) = &self.ids {
+            self.rec.add(ids.admissions, 1);
+            self.rec.record(ids.admission_delay, delay);
+            if let Some(&[tenant_delay, _, _]) = ids.tenants.get(t) {
+                self.rec.record(tenant_delay, delay);
+            }
+            self.rec.event(
+                now.as_secs(),
+                Event::Admit {
+                    tenant: arrival.tenant.0,
+                    index: arrival.index,
+                    delay_secs: delay,
+                },
+            );
+        }
+    }
+
+    /// A run of tenant position `t` completed at `now`.
+    fn complete(&mut self, now: SimTime, t: usize, tenant: TenantId, sojourn: f64, attained: bool) {
+        if let Some(ids) = &self.ids {
+            let tenant_ids = ids.tenants.get(t);
+            self.rec.add(ids.completions, 1);
+            self.rec.record(ids.sojourn, sojourn);
+            if let Some(&[_, tenant_sojourn, _]) = tenant_ids {
+                self.rec.record(tenant_sojourn, sojourn);
+            }
+            if !attained {
+                self.rec.add(ids.sla_misses, 1);
+                if let Some(&[_, _, tenant_misses]) = tenant_ids {
+                    self.rec.add(tenant_misses, 1);
+                }
+            }
+            self.rec.event(
+                now.as_secs(),
+                Event::Complete {
+                    tenant: tenant.0,
+                    sojourn_secs: sojourn,
+                    attained,
+                },
+            );
+        }
+    }
+
+    fn makespan(&mut self, makespan: f64) {
+        if let Some(ids) = &self.ids {
+            self.rec.set(ids.makespan, makespan);
+        }
     }
 }
 
@@ -555,7 +645,7 @@ impl FrontDoor {
         admissions: &mut Vec<AdmissionRecord>,
         record_of: &mut [Option<AdmissionRecord>],
         accums: &mut [TenantAccum],
-        rec: &mut dyn Recorder,
+        obs: &mut DoorObs<'_>,
     ) {
         let n = self.cfg.tenants.len();
         let capacity = self.cfg.capacity.max(1);
@@ -609,23 +699,7 @@ impl FrontDoor {
                 let acc = &mut accums[t];
                 acc.delay_sum += delay;
                 acc.delay_max = acc.delay_max.max(delay);
-                if rec.enabled() {
-                    rec.add(metrics::TRAFFIC_ADMISSIONS, 1);
-                    rec.record(metrics::ADMISSION_DELAY_SECS, delay);
-                    if t < TENANT_METRIC_CAP {
-                        rec.record(TENANT_ADMISSION_DELAY[t], delay);
-                    }
-                    rec.instant(
-                        "admit",
-                        "traffic",
-                        now.as_secs(),
-                        vec![
-                            ("tenant", Value::U64(u64::from(arrival.tenant.0))),
-                            ("index", Value::U64(arrival.index as u64)),
-                            ("delay_secs", Value::F64(delay)),
-                        ],
-                    );
-                }
+                obs.admit(now, t, arrival, delay);
                 admissions.push(record);
                 record_of[arrival_idx] = Some(record);
             }
@@ -673,9 +747,7 @@ impl FrontDoor {
             Some(r) => r,
             None => &mut noop,
         };
-        if rec.enabled() {
-            declare_traffic_metrics(rec, n);
-        }
+        let mut obs = DoorObs::new(rec, n);
 
         let mut accums: Vec<TenantAccum> = vec![TenantAccum::default(); n];
         let mut admissions: Vec<AdmissionRecord> = Vec::with_capacity(arrivals.len());
@@ -733,29 +805,7 @@ impl FrontDoor {
                 acc.sla_hits += usize::from(attained);
                 acc.ledger.merge(&sample.ledger);
                 acc.peak_concurrency = acc.peak_concurrency.max(sample.peak_concurrency);
-                if rec.enabled() {
-                    rec.add(metrics::TRAFFIC_COMPLETIONS, 1);
-                    rec.record(metrics::SOJOURN_SECS, sojourn);
-                    if t < TENANT_METRIC_CAP {
-                        rec.record(TENANT_SOJOURN[t], sojourn);
-                    }
-                    if !attained {
-                        rec.add(metrics::SLA_MISSES, 1);
-                        if t < TENANT_METRIC_CAP {
-                            rec.add(TENANT_SLA_MISSES[t], 1);
-                        }
-                    }
-                    rec.instant(
-                        "complete",
-                        "traffic",
-                        now.as_secs(),
-                        vec![
-                            ("tenant", Value::U64(u64::from(record.tenant.0))),
-                            ("sojourn_secs", Value::F64(sojourn)),
-                            ("attained", Value::U64(u64::from(attained))),
-                        ],
-                    );
-                }
+                obs.complete(now, t, record.tenant, sojourn, attained);
                 self.admit_sweep(
                     now,
                     arrivals,
@@ -764,7 +814,7 @@ impl FrontDoor {
                     &mut admissions,
                     &mut record_of,
                     &mut accums,
-                    rec,
+                    &mut obs,
                 );
             } else {
                 let arrival = arrivals[next_arrival];
@@ -773,18 +823,7 @@ impl FrontDoor {
                 let t = self.tenant_pos(arrival.tenant);
                 self.queues[t].push_back(arrival_idx);
                 accums[t].max_queue_depth = accums[t].max_queue_depth.max(self.queues[t].len());
-                if rec.enabled() {
-                    rec.add(metrics::TRAFFIC_ARRIVALS, 1);
-                    rec.instant(
-                        "arrival",
-                        "traffic",
-                        arrival.at.as_secs(),
-                        vec![
-                            ("tenant", Value::U64(u64::from(arrival.tenant.0))),
-                            ("index", Value::U64(arrival.index as u64)),
-                        ],
-                    );
-                }
+                obs.arrival(arrival);
                 self.admit_sweep(
                     arrival.at,
                     arrivals,
@@ -793,7 +832,7 @@ impl FrontDoor {
                     &mut admissions,
                     &mut record_of,
                     &mut accums,
-                    rec,
+                    &mut obs,
                 );
             }
         }
@@ -805,9 +844,7 @@ impl FrontDoor {
 
         let first_arrival = arrivals.first().map_or(0.0, |a| a.at.as_secs());
         let makespan = (last_completion.as_secs() - first_arrival).max(0.0);
-        if rec.enabled() {
-            rec.set(metrics::TRAFFIC_MAKESPAN_SECS, makespan);
-        }
+        obs.makespan(makespan);
         let tenants: Vec<TenantReport> = self
             .cfg
             .tenants

@@ -5,8 +5,9 @@
 
 use dd_stats::incremental::{moments_centered_grid_fit, IncrementalWeibullFit};
 use dd_stats::{
-    autocorrelation, chi2_p_value, chi2_statistic, fit_polynomial, mean, normalized_chi2_error,
-    pearson, std_dev, Histogram, Normal, Poisson, SeedStream, Weibull,
+    autocorrelation, chi2_p_value, chi2_statistic, fit_polynomial, fit_weibull_grid,
+    fit_weibull_grid_reference, mean, normalized_chi2_error, pearson, std_dev, Histogram, Normal,
+    Poisson, SeedStream, Weibull,
 };
 use proptest::prelude::*;
 
@@ -217,6 +218,62 @@ proptest! {
             prop_assert!((a.dist.alpha() - b.dist.alpha()).abs() <= 1e-12);
             prop_assert!((a.dist.beta() - b.dist.beta()).abs() <= 1e-12);
             prop_assert_eq!(a.dist, b.dist);
+        }
+    }
+}
+
+/// A histogram of one of three shapes built from the same draws:
+/// sparse (a few counts scattered with gaps), one dominant bin over a
+/// thin background, or a wide support reaching bin 400.
+fn shaped_histogram(shape: u32, bins: &[(u32, u64)], dominant: (u32, u64)) -> Histogram {
+    let mut hist = Histogram::new();
+    match shape {
+        0 => {
+            for &(v, n) in bins {
+                hist.record_n(v % 16 * 9, n % 4 + 1);
+            }
+        }
+        1 => {
+            hist.record_n(dominant.0, dominant.1);
+            for &(v, _) in bins {
+                hist.record(v % 60);
+            }
+        }
+        _ => {
+            for &(v, n) in bins {
+                hist.record_n(v, n);
+            }
+        }
+    }
+    hist
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The branch-and-bound χ² grid fit picks the same winner as the
+    /// dense-scan oracle, bit for bit, on sparse, dominant-bin and
+    /// wide-support histograms over random ranges and grid sizes.
+    #[test]
+    fn grid_fit_matches_dense_oracle_bitwise(
+        shape in 0u32..3,
+        bins in proptest::collection::vec((0u32..401, 1u64..50), 1..24),
+        dominant in (0u32..60, 100u64..5_000),
+        alpha in (0.2f64..10.0, 0.0f64..60.0),
+        beta in (0.2f64..3.0, 0.0f64..12.0),
+        steps in 2usize..30,
+    ) {
+        let hist = shaped_histogram(shape, &bins, dominant);
+        let alpha_range = (alpha.0, alpha.0 + alpha.1);
+        let beta_range = (beta.0, beta.0 + beta.1);
+        let fast = fit_weibull_grid(&hist, alpha_range, beta_range, steps);
+        let oracle = fit_weibull_grid_reference(&hist, alpha_range, beta_range, steps);
+        prop_assert_eq!(fast.is_some(), oracle.is_some());
+        if let (Some(fast), Some(oracle)) = (fast, oracle) {
+            prop_assert_eq!(fast.dist.alpha().to_bits(), oracle.dist.alpha().to_bits());
+            prop_assert_eq!(fast.dist.beta().to_bits(), oracle.dist.beta().to_bits());
+            prop_assert_eq!(fast.chi2.to_bits(), oracle.chi2.to_bits());
+            prop_assert_eq!(fast.fit_fraction.to_bits(), oracle.fit_fraction.to_bits());
         }
     }
 }

@@ -9,7 +9,7 @@
 //!    disabled path builds no arguments (zero cost when disabled).
 
 use daydream_core::{DayDreamHistory, DayDreamScheduler};
-use dd_obs::{export, Value};
+use dd_obs::{export, Event, MetricId};
 use dd_platform::prelude::*;
 use dd_platform::traffic::arrivals;
 use dd_stats::SeedStream;
@@ -105,7 +105,7 @@ fn exports_byte_identical_under_fault_injection() {
         analytic_rec
             .events
             .iter()
-            .any(|e| e.name == "fault_attempt"),
+            .any(|e| matches!(e.event, Event::FaultAttempt { .. })),
         "faulty run recorded no fault attempts"
     );
 }
@@ -159,8 +159,6 @@ fn exports_reproduce_run_to_run() {
 /// emission site without its `enabled()` guard fails the test below.
 struct DisabledSpy;
 
-type Args = Vec<(&'static str, Value)>;
-
 fn unguarded(name: &str) -> ! {
     panic!("'{name}' reached a disabled recorder: its emission site lacks an enabled() guard")
 }
@@ -169,29 +167,26 @@ impl Recorder for DisabledSpy {
     fn enabled(&self) -> bool {
         false
     }
-    fn span(&mut self, name: &'static str, _: &'static str, _: f64, _: f64, _: Args) {
+    fn event(&mut self, _: f64, event: Event) {
+        unguarded(event.name())
+    }
+    fn declare_counter(&mut self, name: &'static str) -> MetricId {
         unguarded(name)
     }
-    fn instant(&mut self, name: &'static str, _: &'static str, _: f64, _: Args) {
+    fn declare_gauge(&mut self, name: &'static str) -> MetricId {
         unguarded(name)
     }
-    fn declare_counter(&mut self, name: &'static str) {
+    fn declare_histogram(&mut self, name: &'static str) -> MetricId {
         unguarded(name)
     }
-    fn declare_gauge(&mut self, name: &'static str) {
-        unguarded(name)
+    fn add(&mut self, _: MetricId, _: u64) {
+        unguarded("add")
     }
-    fn declare_histogram(&mut self, name: &'static str) {
-        unguarded(name)
+    fn set(&mut self, _: MetricId, _: f64) {
+        unguarded("set")
     }
-    fn add(&mut self, name: &'static str, _: u64) {
-        unguarded(name)
-    }
-    fn set(&mut self, name: &'static str, _: f64) {
-        unguarded(name)
-    }
-    fn record(&mut self, name: &'static str, _: f64) {
-        unguarded(name)
+    fn record(&mut self, _: MetricId, _: f64) {
+        unguarded("record")
     }
 }
 
