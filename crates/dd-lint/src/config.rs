@@ -11,7 +11,7 @@
 //! duplicate sections or keys, malformed arrays, unparsable contract
 //! levels — is a configuration error, never silently ignored.
 
-use crate::effects::Effect;
+use crate::effects::Level;
 use crate::rules::RULE_NAMES;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,13 +38,12 @@ pub struct RuleScope {
     /// (`par_map`, the sweep executor submit, `FrontDoor::serve`). The
     /// sink itself is the synchronization barrier and is exempt; its
     /// direct callers are the fan-out contexts whose transitive callees
-    /// must infer `⊑ panic`.
+    /// may hold no hit above `panic`.
     pub sinks: Vec<String>,
-    /// `effect-contract` entries: `(pattern, declared effect)`. Every
-    /// function matching the pattern must infer an effect `⊑` the
-    /// declared one — a CI-enforced API contract against silent effect
-    /// strengthening.
-    pub contracts: Vec<(String, Effect)>,
+    /// `effect-contract` entries: `(pattern, declared level)`. No
+    /// function matching the pattern may reach a hit of a stronger level
+    /// — a CI-enforced API contract against silent effect strengthening.
+    pub contracts: Vec<(String, Level)>,
 }
 
 impl RuleScope {
@@ -179,9 +178,8 @@ impl Config {
 }
 
 /// Parses one `contracts` item: `"<pattern> = <level>"`, where the level
-/// is an effect spec (`pure`, `alloc`, `panic`, `shared-mut`, `nondet`,
-/// `nondet(time, rng, hash-order)`, `io`).
-fn parse_contract(item: &str) -> Result<(String, Effect), String> {
+/// is one of `pure`, `alloc`, `panic`, `shared-mut`, `nondet`, `io`.
+fn parse_contract(item: &str) -> Result<(String, Level), String> {
     let (pattern, level) = item
         .split_once('=')
         .ok_or_else(|| format!("contract {item:?} must be \"<pattern> = <level>\""))?;
@@ -189,14 +187,14 @@ fn parse_contract(item: &str) -> Result<(String, Effect), String> {
     if pattern.is_empty() {
         return Err(format!("contract {item:?} has an empty pattern"));
     }
-    let effect = Effect::parse(level).ok_or_else(|| {
+    let level = Level::parse(level).ok_or_else(|| {
         format!(
             "contract {item:?} declares unknown effect level {:?} (expected \
-             pure/alloc/panic/shared-mut/nondet[(kinds)]/io)",
+             pure/alloc/panic/shared-mut/nondet/io)",
             level.trim()
         )
     })?;
-    Ok((pattern.to_string(), effect))
+    Ok((pattern.to_string(), level))
 }
 
 /// Removes a trailing `# …` comment, respecting quoted strings: a `#`
@@ -318,7 +316,7 @@ mod tests {
         let cfg = Config::parse(
             "[rule.par-purity]\nsinks = [\"dd-bench::sweep::par_map\"]\n\
              [rule.effect-contract]\ncontracts = [\"Executor::run = panic\", \
-             \"traffic::arrivals = nondet(rng)\"]\n",
+             \"traffic::arrivals = nondet\"]\n",
         )
         .unwrap();
         assert_eq!(
@@ -329,7 +327,15 @@ mod tests {
         assert_eq!(contracts.len(), 2);
         assert_eq!(contracts[0].0, "Executor::run");
         assert_eq!(contracts[0].1.to_string(), "panic");
-        assert_eq!(contracts[1].1.to_string(), "nondet(rng)");
+        assert_eq!(contracts[1].1.to_string(), "nondet");
+    }
+
+    #[test]
+    fn nondet_kind_contracts_rejected() {
+        let err = Config::parse("[rule.effect-contract]\ncontracts = [\"x = nondet(rng)\"]\n")
+            .unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("unknown effect level"), "{err}");
     }
 
     #[test]

@@ -45,22 +45,24 @@
 //!   configured fan-out *sink* (`par_map`, `FrontDoor::serve`). The sink
 //!   itself is the synchronization barrier and exempt; the caller's own
 //!   statements run sequentially and are exempt too — but everything the
-//!   caller calls may run inside the fanned-out closure, so all its
-//!   transitive callees must infer `⊑ panic` (see [`crate::effects`]).
-//! * `effect-contract` — a function listed with a declared effect in
-//!   `dd-lint.toml` whose *inferred* effect is not `⊑` the declaration:
-//!   a CI gate against silent effect strengthening of key API surface.
+//!   caller calls may run inside the fanned-out closure, so no hit in its
+//!   transitive callees may exceed `panic` (see [`crate::effects`]).
+//! * `effect-contract` — a function listed with a declared effect level
+//!   in `dd-lint.toml` that reaches a hit of a stronger level: a CI gate
+//!   against silent effect strengthening of key API surface.
 //! * `config` (pseudo-rule, always on) — `dd-lint.toml` patterns that
 //!   match nothing in the scanned tree (configuration rot).
+//!
+//! Every rule here but `dead-pub-api` and `config` walks the graph with
+//! the one deterministic BFS, `Workspace::reach`.
 
 use crate::config::{Config, RuleScope};
-use crate::effects::{self, Effect, Level};
+use crate::effects::{self, Level};
 use crate::rules::{self, Finding, CONFIG_RULE};
 use crate::symbols::{FileMap, FnDef, ItemKind, TokenHit};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// The analyzed workspace: pass-1 file maps plus the resolved call graph
-/// and the inferred per-function effects.
+/// The analyzed workspace: pass-1 file maps plus the resolved call graph.
 #[derive(Debug, Default)]
 pub struct Workspace {
     pub(crate) files: Vec<FileMap>,
@@ -72,10 +74,6 @@ pub struct Workspace {
     nodes: Vec<(usize, usize)>,
     /// Adjacency: global index → sorted callee global indices.
     edges: Vec<Vec<usize>>,
-    /// Intrinsic (own-body) effect per node.
-    intrinsics: Vec<Effect>,
-    /// Inferred (post-fixpoint) effect per node.
-    effects: Vec<Effect>,
 }
 
 impl Workspace {
@@ -154,18 +152,11 @@ impl Workspace {
                 })
                 .collect();
         }
-        let intrinsics: Vec<Effect> = nodes
-            .iter()
-            .map(|&(fi, i)| effects::intrinsic(&files[fi].fns[i]))
-            .collect();
-        let inferred = effects::fixpoint(&intrinsics, &edges);
         Workspace {
             files,
             reference_refs,
             nodes,
             edges,
-            intrinsics,
-            effects: inferred,
         }
     }
 
@@ -209,9 +200,10 @@ impl Workspace {
         out
     }
 
-    /// Deterministic BFS from `roots`; returns parent pointers
-    /// (`usize::MAX` marks a root) for reached nodes.
-    fn reach(&self, roots: &[usize]) -> BTreeMap<usize, usize> {
+    /// Deterministic BFS from `roots` that never enters a node `skip`
+    /// selects; returns parent pointers (`usize::MAX` marks a root) for
+    /// reached nodes.
+    fn reach(&self, roots: &[usize], skip: impl Fn(usize) -> bool) -> BTreeMap<usize, usize> {
         let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
         let mut queue: VecDeque<usize> = VecDeque::new();
         for &r in roots {
@@ -222,6 +214,9 @@ impl Workspace {
         }
         while let Some(u) = queue.pop_front() {
             for &v in &self.edges[u] {
+                if skip(v) {
+                    continue;
+                }
                 if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(v) {
                     e.insert(u);
                     queue.push_back(v);
@@ -253,24 +248,6 @@ impl Workspace {
             .map(|&n| self.display(n))
             .collect::<Vec<_>>()
             .join(" -> ")
-    }
-
-    /// The provenance chain of `g`'s inferred effect level, rendered with
-    /// the witnessing token and its location when the terminal function
-    /// has one.
-    fn effect_chain(&self, g: usize) -> String {
-        let chain = effects::provenance(g, &self.intrinsics, &self.effects, &self.edges);
-        let names = chain
-            .iter()
-            .map(|&n| self.display(n))
-            .collect::<Vec<_>>()
-            .join(" -> ");
-        let last = *chain.last().expect("chain starts at g");
-        let (fm, f) = self.node(last);
-        match effects::level_hits(f, self.effects[g].level).first() {
-            Some(h) => format!("{names} (`{}` at {}:{})", h.token, fm.rel_path, h.line),
-            None => names,
-        }
     }
 
     /// Runs every graph rule configured in `config`.
@@ -311,7 +288,7 @@ impl Workspace {
     }
 
     /// `par-purity`: functions reachable from a parallel fan-out context
-    /// must infer `⊑ Panic`. Sinks (matched by the rule's `sinks`
+    /// may hold no hit above `Panic`. Sinks (matched by the rule's `sinks`
     /// patterns) are the fan-out primitives themselves — their internals
     /// are the synchronization barrier and exempt. Their direct callers
     /// are the fan-out *contexts*: the context's own statements run
@@ -335,26 +312,7 @@ impl Workspace {
                 !is_sink[g] && !self.node(g).1.in_test && self.edges[g].iter().any(|&c| is_sink[c])
             })
             .collect();
-        // BFS that never enters a sink node.
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &r in &roots {
-            if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(r) {
-                e.insert(usize::MAX);
-                queue.push_back(r);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.edges[u] {
-                if is_sink[v] {
-                    continue;
-                }
-                if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(v) {
-                    e.insert(u);
-                    queue.push_back(v);
-                }
-            }
-        }
+        let parent = self.reach(&roots, |v| is_sink[v]);
         for (&g, &p) in &parent {
             if p == usize::MAX {
                 continue; // The fan-out context's own sequential section.
@@ -363,24 +321,10 @@ impl Workspace {
             if !scope.covers_crate(&fm.crate_name) {
                 continue;
             }
-            // Hits witnessing any effect level above Panic.
-            let offending: Vec<(&TokenHit, Effect)> = f
-                .sharedmut_hits
-                .iter()
-                .map(|h| (h, Effect::of(Level::SharedMut)))
-                .chain(f.sink_hits.iter().map(|h| {
-                    (
-                        h,
-                        Effect {
-                            level: Level::NonDet,
-                            nondet: effects::sink_kind(h.token),
-                        },
-                    )
-                }))
-                .chain(f.io_hits.iter().map(|h| (h, Effect::of(Level::Io))))
-                .collect();
-            for (hit, eff) in offending {
-                if rules::suppressed(&fm.suppressions, hit.line, "par-purity") {
+            for (hit, level) in effects::hits(f) {
+                if level <= Level::Panic
+                    || rules::suppressed(&fm.suppressions, hit.line, "par-purity")
+                {
                     continue;
                 }
                 findings.push(Finding {
@@ -389,11 +333,12 @@ impl Workspace {
                     column: hit.column,
                     rule: "par-purity".to_string(),
                     message: format!(
-                        "`{}` has effect `{eff}` inside a parallel fan-out: closures \
+                        "`{}` has effect `{}` inside a parallel fan-out: closures \
                          fanned out through {} must infer ⊑ panic to stay byte-identical \
                          at any --jobs; hoist the effect out of the parallel section or \
                          suppress with a documented justification [call chain: {}]",
                         hit.token,
+                        effects::describe(level, &[effects::sink_kind(hit.token)]),
                         self.par_sink_of(&parent, g, &is_sink),
                         self.chain(&parent, g)
                     ),
@@ -412,8 +357,10 @@ impl Workspace {
         }
     }
 
-    /// `effect-contract`: every function matching a contract pattern must
-    /// infer an effect `⊑` the declared one.
+    /// `effect-contract`: no function matching a contract pattern may
+    /// reach a hit stronger than the declared level. The witness is the
+    /// strongest hit reached (on a tie, the first in node order), named
+    /// with the BFS call chain to it.
     fn effect_contract(&self, config: &Config, findings: &mut Vec<Finding>) {
         let scope = config.scope("effect-contract");
         for (pattern, declared) in &scope.contracts {
@@ -423,10 +370,25 @@ impl Workspace {
                 if f.in_test || !entry_matches(pattern, fm, f) {
                     continue;
                 }
-                if self.effects[g].le(*declared) {
-                    continue;
+                let parent = self.reach(&[g], |_| false);
+                let mut witness: Option<(Level, usize, &TokenHit)> = None;
+                let mut kinds = Vec::new();
+                for &n in parent.keys() {
+                    for (hit, level) in effects::hits(self.node(n).1) {
+                        if level == Level::NonDet {
+                            kinds.push(effects::sink_kind(hit.token));
+                        }
+                        if witness.is_none_or(|(strongest, ..)| level > strongest) {
+                            witness = Some((level, n, hit));
+                        }
+                    }
                 }
-                if rules::suppressed(&fm.suppressions, f.line, "effect-contract") {
+                let Some((level, w, hit)) = witness else {
+                    continue;
+                };
+                if level <= *declared
+                    || rules::suppressed(&fm.suppressions, f.line, "effect-contract")
+                {
                     continue;
                 }
                 findings.push(Finding {
@@ -437,11 +399,14 @@ impl Workspace {
                     message: format!(
                         "`{}` is declared `⊑ {declared}` in dd-lint.toml but infers \
                          `{}`: the API contract gained a stronger effect [effect path: \
-                         {}]; weaken the code or update the declared contract \
-                         deliberately",
+                         {} (`{}` at {}:{})]; weaken the code or update the declared \
+                         contract deliberately",
                         self.display(g),
-                        self.effects[g],
-                        self.effect_chain(g)
+                        effects::describe(level, &kinds),
+                        self.chain(&parent, w),
+                        hit.token,
+                        self.node(w).0.rel_path,
+                        hit.line
                     ),
                 });
             }
@@ -510,7 +475,7 @@ impl Workspace {
             return; // No reporting scope configured — rule is off.
         }
         let roots = self.roots(&scope);
-        let parent = self.reach(&roots);
+        let parent = self.reach(&roots, |_| false);
         for &g in parent.keys() {
             let (fm, f) = self.node(g);
             // `files`-listed paths are fully covered by the per-file
@@ -868,6 +833,30 @@ mod tests {
         )]);
         let f = w.run_rules(&cfg("[rule.dead-pub-api]\ncrates = [\"*\"]\n"));
         assert!(f.is_empty(), "{f:#?}");
+    }
+
+    fn contract(w: &Workspace, spec: &str) -> Vec<Finding> {
+        w.run_rules(&cfg(&format!(
+            "[rule.effect-contract]\ncrates = [\"*\"]\ncontracts = [\"{spec}\"]\n"
+        )))
+    }
+
+    #[test]
+    fn effect_contract_reports_max_level_and_union_of_kinds() {
+        let w = ws(&[(
+            "crates/demo/src/lib.rs",
+            "pub fn a() {\n    x.unwrap();\n    b();\n    c();\n}\nfn b() {\n    Instant::now();\n}\nfn c() {\n    thread_rng();\n}\n",
+        )]);
+        let f = contract(&w, "a = panic");
+        assert_eq!(f.len(), 1, "{f:#?}");
+        // On a tie the first witness in node order names the path.
+        assert!(
+            f[0].message.contains("infers `nondet(time,rng)`")
+                && f[0].message.contains("[effect path: demo::a -> demo::b (`Instant::now` at crates/demo/src/lib.rs:7)]"),
+            "{}",
+            f[0].message
+        );
+        assert!(contract(&w, "a = nondet").is_empty());
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! The analysis runs in two passes. Pass 1 scans each file in isolation:
 //! the per-file token rules fire directly, and [`symbols`] extracts the
 //! file's functions, call sites, and references. Pass 2 ([`graph`])
-//! builds the workspace call graph, infers per-function effects
-//! ([`effects`]), and runs the cross-function rules —
-//! `hot-path-panic`/`hot-path-alloc` over everything transitively
-//! reachable from the configured entry points, `determinism-taint` for
-//! call paths from deterministic entry points to wall-clock/entropy
-//! sinks, `dead-pub-api` for unreachable `pub` surface, and the effect
-//! rules `par-purity` and `effect-contract`.
+//! builds the workspace call graph and runs the cross-function rules.
+//! Five of them share one breadth-first walk: `hot-path-panic`/
+//! `hot-path-alloc` over everything transitively reachable from the
+//! configured entry points, `determinism-taint` for call paths from
+//! deterministic entry points to wall-clock/entropy sinks, and the
+//! effect rules `par-purity` and `effect-contract`, which rank the hits
+//! reached by [`effects::Level`]. `dead-pub-api` flags unreachable `pub`
+//! surface.
 //!
 //! Scope is configured per rule in `dd-lint.toml` at the workspace root;
 //! inline `dd-lint: allow(<rule>): <justification>` comments suppress
@@ -35,7 +36,7 @@ pub mod scan;
 pub(crate) mod symbols;
 
 pub use config::{Config, ConfigError, RuleScope};
-pub use effects::{Effect, Level};
+pub use effects::Level;
 pub use rules::{Finding, CONFIG_RULE, RULE_NAMES, SUPPRESSION_RULE};
 
 use std::path::{Path, PathBuf};

@@ -11,7 +11,7 @@
 //! | `determinism-taint` | D4 | a call path from an `Executor::run` impl or experiment `run()` to a wall-clock/entropy/hash-iteration sink (graph rule — see [`crate::graph`]) |
 //! | `dead-pub-api`    | A2 | `pub` items unreachable from any bin, test, bench, or the facade (graph rule) |
 //! | `par-purity`      | E1 | a shared-mutability / nondeterminism / I/O token reachable inside a parallel fan-out (effect rule — see [`crate::effects`]) |
-//! | `effect-contract` | E2 | a function whose inferred effect exceeds its declared contract in `dd-lint.toml` (effect rule) |
+//! | `effect-contract` | E2 | a function that reaches a hit above its declared effect level in `dd-lint.toml` (effect rule) |
 //! | `suppression`     | —  | malformed `dd-lint: allow(..)` directives (unknown rule, missing justification) |
 //! | `config`          | —  | `dd-lint.toml` patterns that match nothing in the scanned tree |
 //!
@@ -131,9 +131,9 @@ pub(crate) const ALLOC_TOKENS: &[&str] = &[
     "format!",
 ];
 
-/// Shared-mutability constructs: intrinsic `SharedMut` effect seeds for
-/// the effect-inference pass ([`crate::effects`]). Interior mutability
-/// and atomics are invisible to `&self` signatures, so a closure fanned
+/// Shared-mutability constructs: hits of effect level `SharedMut` for
+/// the effect rules ([`crate::effects`]). Interior mutability and
+/// atomics are invisible to `&self` signatures, so a closure fanned
 /// out by `par_map` can observe cross-thread write order through them —
 /// the exact hazard `par-purity` exists to catch. Plain `let mut` locals
 /// are *not* listed: unshared mutation is pure.
@@ -157,7 +157,7 @@ pub(crate) const SHAREDMUT_TOKENS: &[&str] = &[
     ".compare_exchange(",
 ];
 
-/// I/O constructs: intrinsic `Io` effect seeds (top of the lattice).
+/// I/O constructs: hits of effect level `Io`, the strongest level.
 /// Output interleaving and filesystem state are observable across
 /// threads and across runs.
 pub(crate) const IO_TOKENS: &[&str] = &[

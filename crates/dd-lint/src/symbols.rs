@@ -97,9 +97,9 @@ pub(crate) struct FnDef {
     pub panic_hits: Vec<TokenHit>,
     pub alloc_hits: Vec<TokenHit>,
     pub sink_hits: Vec<TokenHit>,
-    /// Interior-mutability / atomic tokens — `SharedMut` effect seeds.
+    /// Interior-mutability / atomic tokens — `SharedMut` effect hits.
     pub sharedmut_hits: Vec<TokenHit>,
-    /// I/O tokens — `Io` effect seeds.
+    /// I/O tokens — `Io` effect hits.
     pub io_hits: Vec<TokenHit>,
 }
 

@@ -1,7 +1,7 @@
 //! Effect fixture: `Planner::plan` is pinned `⊑ pure` by the test's
 //! effect-contract, but it reaches a wall clock through `stamp` — the
 //! contract silently strengthened, so dd-lint must report it at the
-//! definition with the effect provenance path.
+//! definition with the call path to the clock read.
 
 pub struct Planner;
 

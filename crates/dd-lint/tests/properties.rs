@@ -1,11 +1,9 @@
 //! Property-based tests of the analyzer front end: the scanner is
 //! line-count-stable, the full two-pass pipeline (scan → pass-1
 //! extraction → graph build → rules) never panics on arbitrary Rust-ish
-//! token soup, and the effect fixpoint over arbitrary finite call
-//! graphs terminates, is closed, and is monotone under edge insertion.
+//! token soup.
 
-use dd_lint::effects::fixpoint;
-use dd_lint::{analyze_sources, scan, Config, Effect, Level};
+use dd_lint::{analyze_sources, scan, Config};
 use proptest::prelude::*;
 
 /// Building blocks deliberately weighted toward the constructs the
@@ -69,39 +67,10 @@ fn arb_source() -> impl Strategy<Value = String> {
         .prop_map(|ixs| ixs.into_iter().map(|i| TOKENS[i]).collect())
 }
 
-/// An arbitrary lattice point: any level; nondet kind bits only at
-/// `NonDet` (the invariant `effects::intrinsic` maintains).
-fn arb_effect() -> impl Strategy<Value = Effect> {
-    (0..Level::ALL.len(), 0u8..8).prop_map(|(l, bits)| {
-        let level = Level::ALL[l];
-        Effect {
-            level,
-            nondet: if level == Level::NonDet { bits } else { 0 },
-        }
-    })
-}
-
-/// An arbitrary call graph: per-node intrinsic effects plus an edge
-/// list (indices folded modulo the node count when materialized, so
-/// self-loops and duplicate edges occur — the fixpoint must not care).
-fn arb_callgraph() -> impl Strategy<Value = (Vec<Effect>, Vec<(usize, usize)>)> {
-    (
-        proptest::collection::vec(arb_effect(), 1..10),
-        proptest::collection::vec((0usize..64, 0usize..64), 0..24),
-    )
-}
-
-/// Materializes the raw edge list into adjacency lists over `n` nodes.
-fn adjacency(n: usize, raw: &[(usize, usize)]) -> Vec<Vec<usize>> {
-    let mut edges = vec![Vec::new(); n];
-    for &(u, v) in raw {
-        edges[u % n].push(v % n);
-    }
-    edges
-}
-
 /// A config that switches on every rule, entry points included, so the
-/// pipeline exercises all code paths.
+/// pipeline exercises all code paths. The `par-purity` sink and the
+/// contract patterns name the generated identifiers `x` and `ab_c`, so
+/// the effect rules walk generated call graphs too.
 const FULL_CONFIG: &str = r#"
 [rule.hash-container]
 crates = ["*"]
@@ -123,6 +92,12 @@ crates = ["*"]
 entry_points = ["Des::pop_loop"]
 [rule.dead-pub-api]
 crates = ["*"]
+[rule.par-purity]
+crates = ["*"]
+sinks = ["x"]
+[rule.effect-contract]
+crates = ["*"]
+contracts = ["ab_c = pure", "x = panic"]
 "#;
 
 proptest! {
@@ -153,41 +128,6 @@ proptest! {
         for f in &findings {
             prop_assert!(f.line >= 1 && f.line <= lines.max(1), "{f:?}");
             prop_assert!(f.column >= 1, "{f:?}");
-        }
-    }
-
-    /// The effect fixpoint terminates on arbitrary graphs (cycles and
-    /// self-loops included), is a closed post-fixpoint (each node equals
-    /// its intrinsic joined with its callees — nothing above, nothing
-    /// below), and inserting any edge can only grow inferred effects
-    /// (monotonicity: extra, over-approximated call edges can only make
-    /// the effect rules stricter).
-    #[test]
-    fn effect_fixpoint_is_closed_and_monotone(
-        (intr, raw_edges) in arb_callgraph(),
-        from in 0usize..64,
-        to in 0usize..64,
-    ) {
-        let n = intr.len();
-        let edges = adjacency(n, &raw_edges);
-        let eff = fixpoint(&intr, &edges);
-        for u in 0..n {
-            let mut want = intr[u];
-            for &v in &edges[u] {
-                want = want.join(eff[v]);
-            }
-            prop_assert_eq!(eff[u], want, "node {} is not exactly closed", u);
-            prop_assert!(intr[u].le(eff[u]), "node {} lost its intrinsic effect", u);
-        }
-
-        let mut grown = edges.clone();
-        grown[from % n].push(to % n);
-        let eff2 = fixpoint(&intr, &grown);
-        for u in 0..n {
-            prop_assert!(
-                eff[u].le(eff2[u]),
-                "edge insertion shrank node {}: {} -> {}", u, eff[u], eff2[u]
-            );
         }
     }
 }

@@ -27,7 +27,7 @@
 //! 3. run end: the `service_time_secs` gauge.
 
 use crate::des::SimTime;
-use crate::faults::{AttemptOutcome, ComponentTimeline, FaultConfig, FaultKind, RecoveryPolicy};
+use crate::faults::{AttemptOutcome, ComponentTimeline, FaultKind};
 use crate::pool::PooledInstance;
 use crate::sched::{PhaseObservation, SchedulerEvent, ServerlessScheduler, StartKind};
 use crate::telemetry::{PhaseRecord, RunOutcome};
@@ -74,9 +74,6 @@ pub struct RunRequest<'a> {
     pub recorder: Option<&'a mut dyn Recorder>,
     /// Whether to collect the full [`ExecutionTrace`].
     pub collect_trace: bool,
-    /// Per-request fault plan override; `None` uses the executor's
-    /// configured `faults` / `recovery`.
-    pub faults: Option<(FaultConfig, RecoveryPolicy)>,
 }
 
 impl<'a> RunRequest<'a> {
@@ -92,7 +89,6 @@ impl<'a> RunRequest<'a> {
             scheduler,
             recorder: None,
             collect_trace: false,
-            faults: None,
         }
     }
 
@@ -107,13 +103,6 @@ impl<'a> RunRequest<'a> {
     #[must_use]
     pub fn with_recorder(mut self, recorder: &'a mut dyn Recorder) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Override the executor's fault plan for this run.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultConfig, recovery: RecoveryPolicy) -> Self {
-        self.faults = Some((faults, recovery));
         self
     }
 }

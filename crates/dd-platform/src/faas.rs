@@ -101,14 +101,6 @@ impl FaasExecutor {
         Self::new(FaasConfig::default())
     }
 
-    /// Replaces the start-up model (e.g. to inject stragglers or test a
-    /// different calibration). The vendor multiplier of the replacement
-    /// is used as-is.
-    pub fn with_startup(mut self, startup: StartupModel) -> Self {
-        self.startup = startup;
-        self
-    }
-
     /// The active price sheet.
     pub fn pricing(&self) -> &PriceSheet {
         &self.pricing

@@ -63,12 +63,6 @@ impl DesFaasExecutor {
         Self::new(FaasConfig::default())
     }
 
-    /// Replaces the start-up model (see [`FaasExecutor::with_startup`]).
-    pub fn with_startup(mut self, startup: StartupModel) -> Self {
-        self.platform = self.platform.with_startup(startup);
-        self
-    }
-
     /// The active price sheet.
     pub fn pricing(&self) -> &PriceSheet {
         self.platform.pricing()
@@ -141,7 +135,7 @@ impl Executor for DesFaasExecutor {
 mod tests {
     use super::*;
     use crate::faas::PoolTrigger;
-    use crate::faults::{FaultConfig, RecoveryPolicy};
+    use crate::faults::{straggler_multiplier, FaultConfig, RecoveryPolicy};
     use crate::sched::ServerlessScheduler;
     use crate::telemetry::RunOutcome;
     use crate::test_support::{assert_same, ccl_run, AllCold, Echo};
@@ -151,17 +145,14 @@ mod tests {
     /// `sched` each) and asserts bitwise agreement; returns the outcome.
     fn both<S: ServerlessScheduler>(
         config: FaasConfig,
-        startup: StartupModel,
         run: &WorkflowRun,
         runtimes: &[LanguageRuntime],
         sched: impl Fn() -> S,
     ) -> RunOutcome {
         let analytic = FaasExecutor::new(config)
-            .with_startup(startup)
             .run(RunRequest::new(run, runtimes, &mut sched()))
             .into_outcome();
         let des = DesFaasExecutor::new(config)
-            .with_startup(startup)
             .run(RunRequest::new(run, runtimes, &mut sched()))
             .into_outcome();
         assert_same(&analytic, &des);
@@ -176,7 +167,7 @@ mod tests {
                 trigger,
                 ..FaasConfig::default()
             };
-            both(config, StartupModel::aws(), &run, &runtimes, || Echo);
+            both(config, &run, &runtimes, || Echo);
         }
     }
 
@@ -223,9 +214,8 @@ mod tests {
                 trigger,
                 ..FaasConfig::default()
             };
-            let aws = StartupModel::aws();
-            let cold = both(config, aws, &run, &runtimes, || AllCold);
-            let echo = both(config, aws, &run, &runtimes, || Echo);
+            let cold = both(config, &run, &runtimes, || AllCold);
+            let echo = both(config, &run, &runtimes, || Echo);
             for outcome in [cold, echo] {
                 assert_eq!(outcome.phases.len(), run.phases.len());
                 assert_eq!(outcome.phases[1].exec_secs, 0.0);
@@ -243,7 +233,7 @@ mod tests {
             invocation_limit: 2,
             ..FaasConfig::default()
         };
-        let constrained = both(config, StartupModel::aws(), &run, &runtimes, || AllCold);
+        let constrained = both(config, &run, &runtimes, || AllCold);
         assert!(
             constrained.service_time_secs > unconstrained.service_time_secs * 1.5,
             "a 2-slot limit must serialize phases: {:.1}s vs {:.1}s",
@@ -252,11 +242,15 @@ mod tests {
         );
     }
 
-    fn straggler_model() -> StartupModel {
-        StartupModel {
-            straggler_fraction: 0.10,
-            straggler_multiplier: 8.0,
-            ..StartupModel::aws()
+    /// 10% of starts straggle at 8x overhead; every other channel clean.
+    fn straggler_config() -> FaasConfig {
+        FaasConfig {
+            faults: FaultConfig {
+                straggler_fraction: 0.10,
+                straggler_multiplier: 8.0,
+                ..FaultConfig::none()
+            },
+            ..FaasConfig::default()
         }
     }
 
@@ -266,23 +260,22 @@ mod tests {
         let clean = FaasExecutor::aws()
             .run(RunRequest::new(&run, &runtimes, &mut AllCold))
             .into_outcome();
-        let config = FaasConfig::default();
-        let faulty = both(config, straggler_model(), &run, &runtimes, || AllCold);
+        let faulty = both(straggler_config(), &run, &runtimes, || AllCold);
         assert!(
             faulty.service_time_secs > clean.service_time_secs * 1.05,
             "10% 8x stragglers should hurt: {:.1}s vs {:.1}s",
             faulty.service_time_secs,
             clean.service_time_secs
         );
-        // Deterministic: same model, same outcome.
-        let again = both(config, straggler_model(), &run, &runtimes, || AllCold);
+        // Deterministic: same config, same outcome.
+        let again = both(straggler_config(), &run, &runtimes, || AllCold);
         assert_same(&faulty, &again);
     }
 
     #[test]
     fn different_run_indices_place_stragglers_differently() {
         // Regression for the hardcoded-zero seed: both executors used to
-        // pass `straggler_multiplier_for(phase, slot, 0)`, so every run
+        // draw stragglers with a zero seed for every run, so every run
         // of a sweep straggled in exactly the same places. Re-labelling
         // the *same* run content with a different run index must move the
         // placement — and both executors must agree on either variant.
@@ -290,9 +283,8 @@ mod tests {
         let mut relabeled = run.clone();
         relabeled.label.run_index = 1;
 
-        let config = FaasConfig::default();
-        let a = both(config, straggler_model(), &run, &runtimes, || AllCold);
-        let b = both(config, straggler_model(), &relabeled, &runtimes, || AllCold);
+        let a = both(straggler_config(), &run, &runtimes, || AllCold);
+        let b = both(straggler_config(), &relabeled, &runtimes, || AllCold);
         assert!(
             (a.service_time_secs - b.service_time_secs).abs() > 1e-6,
             "straggler placement identical across run indices: {} vs {}",
@@ -301,30 +293,33 @@ mod tests {
         );
 
         // With the engine disabled the run index has no effect at all.
-        let aws = StartupModel::aws();
-        let clean_a = both(config, aws, &run, &runtimes, || AllCold);
-        let clean_b = both(config, aws, &relabeled, &runtimes, || AllCold);
+        let config = FaasConfig::default();
+        let clean_a = both(config, &run, &runtimes, || AllCold);
+        let clean_b = both(config, &relabeled, &runtimes, || AllCold);
         assert_eq!(clean_a.service_time_secs, clean_b.service_time_secs);
     }
 
     #[test]
     fn zero_fraction_is_identity() {
-        let m = StartupModel::aws();
+        let clean = FaultConfig::none();
         for phase in 0..50 {
             for slot in 0..20 {
-                assert_eq!(m.straggler_multiplier_for(phase, slot, 0), 1.0);
+                let m = straggler_multiplier(
+                    clean.straggler_fraction,
+                    clean.straggler_multiplier,
+                    phase,
+                    slot,
+                    0,
+                );
+                assert_eq!(m, 1.0);
             }
         }
     }
 
     #[test]
     fn straggler_rate_matches_fraction() {
-        let m = StartupModel {
-            straggler_fraction: 0.2,
-            ..StartupModel::aws()
-        };
         let hits = (0..100_000)
-            .filter(|&i| m.straggler_multiplier_for(i / 100, i % 100, 7) > 1.0)
+            .filter(|&i| straggler_multiplier(0.2, 8.0, i / 100, i % 100, 7) > 1.0)
             .count();
         let rate = hits as f64 / 100_000.0;
         assert!((rate - 0.2).abs() < 0.01, "straggler rate {rate}");
@@ -348,7 +343,7 @@ mod tests {
                 recovery: policy,
                 ..FaasConfig::default()
             };
-            let analytic = both(config, StartupModel::aws(), &run, &runtimes, || AllCold);
+            let analytic = both(config, &run, &runtimes, || AllCold);
             // Faults actually fired, retry cost is a real non-negative
             // component, and conservation holds with it included.
             assert!(analytic.faults.failures() > 0, "{policy:?}");

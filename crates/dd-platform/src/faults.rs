@@ -36,8 +36,6 @@
 //! the platform escalating to a reliable, synchronous (if slow) start —
 //! so every component completes and the workflow always finishes.
 
-use crate::startup::StartupModel;
-
 /// The kinds of injected faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -168,19 +166,6 @@ impl FaultConfig {
             && self.start_failure_rate <= 0.0
             && self.storage_hiccup_rate <= 0.0
             && self.straggler_fraction <= 0.0
-    }
-
-    /// Folds the legacy [`StartupModel`] straggler knobs into this
-    /// configuration: when the model injects stragglers and this config
-    /// does not, the model's fraction/multiplier are adopted, so
-    /// `with_startup`-style straggler experiments keep working through
-    /// the unified engine.
-    pub fn absorbing_startup(mut self, startup: &StartupModel) -> Self {
-        if self.straggler_fraction <= 0.0 && startup.straggler_fraction > 0.0 {
-            self.straggler_fraction = startup.straggler_fraction;
-            self.straggler_multiplier = startup.straggler_multiplier;
-        }
-        self
     }
 }
 
@@ -472,8 +457,7 @@ fn unit_draw(seed: u64, phase: usize, slot: usize, attempt: u32, channel: u64) -
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The straggler draw shared with [`StartupModel::straggler_multiplier_for`]:
-/// returns `multiplier` when the hashed `(phase, slot, seed)` unit draw
+/// The straggler draw: returns `multiplier` when the hashed `(phase, slot, seed)` unit draw
 /// falls under `fraction`, else `1.0`.
 pub fn straggler_multiplier(
     fraction: f64,
@@ -1080,21 +1064,5 @@ mod tests {
         assert!(!cfg.is_clean());
         assert_eq!(cfg.crash_rate, 0.05);
         assert_eq!(cfg.straggler_fraction, 0.05);
-
-        let legacy = StartupModel {
-            straggler_fraction: 0.1,
-            straggler_multiplier: 6.0,
-            ..StartupModel::aws()
-        };
-        let absorbed = FaultConfig::none().absorbing_startup(&legacy);
-        assert_eq!(absorbed.straggler_fraction, 0.1);
-        assert_eq!(absorbed.straggler_multiplier, 6.0);
-        // An explicit config wins over the legacy knobs.
-        let explicit = FaultConfig {
-            straggler_fraction: 0.3,
-            ..FaultConfig::none()
-        }
-        .absorbing_startup(&legacy);
-        assert_eq!(explicit.straggler_fraction, 0.3);
     }
 }

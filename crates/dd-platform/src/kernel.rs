@@ -116,11 +116,8 @@ pub(crate) fn execute(
     let metric_ids = recording.then(|| obs::declare_metrics(rec));
     scheduler.set_event_recording(recording);
     // One fault plan per run: the run index is mixed into the seed so
-    // different runs of a sweep see different fault placements. A
-    // request-level override replaces the configured plan wholesale.
+    // different runs of a sweep see different fault placements.
     let config = platform.config();
-    let (fault_cfg, recovery) = req.faults.unwrap_or((config.faults, config.recovery));
-    let faults = fault_cfg.absorbing_startup(platform.startup());
     // Storage hints are sampled once per run; zero fractions keep the
     // arithmetic byte-identical to the hint-less path.
     let hints = scheduler.storage_hints().clamped();
@@ -133,7 +130,7 @@ pub(crate) fn execute(
         rec,
         metric_ids,
         scratch,
-        plan: FaultPlan::for_run(faults, recovery, run.label.run_index as u64),
+        plan: FaultPlan::for_run(config.faults, config.recovery, run.label.run_index as u64),
         hints,
         trace: req.collect_trace.then(ExecutionTrace::default),
         ledger: CostLedger::default(),

@@ -54,12 +54,6 @@ pub struct StartupModel {
     /// reduce component service time by 19% compared to cold starts":
     /// cold ≈ 1.16 + 3.56·1.25 + 0.17 ≈ 5.78 s vs hot ≈ 4.66 s.
     pub cold_exec_penalty: f64,
-    /// Failure injection: fraction of component starts that straggle
-    /// (observed on real FaaS as scheduling hiccups, image-pull retries,
-    /// noisy neighbours). 0.0 = the paper's clean environment.
-    pub straggler_fraction: f64,
-    /// Start-up overhead multiplier applied to straggling components.
-    pub straggler_multiplier: f64,
 }
 
 impl Default for StartupModel {
@@ -74,8 +68,6 @@ impl Default for StartupModel {
             vm_boot_penalty: 1.0 / 0.71,
             vendor_multiplier: 1.0,
             cold_exec_penalty: 1.25,
-            straggler_fraction: 0.0,
-            straggler_multiplier: 8.0,
         }
     }
 }
@@ -146,24 +138,6 @@ impl StartupModel {
         self.vendor_multiplier * (self.microvm_boot_secs + self.component_load_secs)
             + self.runtime_load_secs(runtimes)
             + self.data_fetch_secs(component, tier)
-    }
-
-    /// Straggler injection: deterministic per (phase, slot, seed), so the
-    /// analytic and event-driven executors agree exactly. Returns the
-    /// start-up overhead multiplier for the component (1.0 = healthy).
-    ///
-    /// The draw itself lives in [`crate::faults`] — the executors consume
-    /// it through a [`crate::faults::FaultPlan`] (which threads the run
-    /// seed, fixing the old hardcoded-zero call sites); this method is the
-    /// legacy entry point and uses the identical hash.
-    pub fn straggler_multiplier_for(&self, phase: usize, slot: usize, seed: u64) -> f64 {
-        crate::faults::straggler_multiplier(
-            self.straggler_fraction,
-            self.straggler_multiplier,
-            phase,
-            slot,
-            seed,
-        )
     }
 
     /// Execution-time multiplier for a component started the given way:

@@ -28,7 +28,6 @@ pub mod generator;
 pub mod run;
 pub mod runtime;
 pub mod spec;
-pub mod trace;
 pub mod usage;
 pub mod validate;
 
@@ -39,6 +38,5 @@ pub use generator::RunGenerator;
 pub use run::{Phase, RunLabel, WorkflowRun};
 pub use runtime::LanguageRuntime;
 pub use spec::{Workflow, WorkflowSpec};
-pub use trace::RunTrace;
 pub use usage::{ResourceKind, UsageSeries};
 pub use validate::{validate_run, validate_spec, ValidationError};

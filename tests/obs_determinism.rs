@@ -77,27 +77,22 @@ fn exports_byte_identical_across_executors() {
 #[test]
 fn exports_byte_identical_under_fault_injection() {
     let (run, runtimes, history) = setup(12);
-    let faults = FaultConfig::uniform(0.08).with_seed(5);
-    let recovery = RecoveryPolicy::speculative();
+    let config = FaasConfig {
+        faults: FaultConfig::uniform(0.08).with_seed(5),
+        recovery: RecoveryPolicy::speculative(),
+        ..FaasConfig::default()
+    };
 
     let mut analytic_rec = MemoryRecorder::new();
     let mut s = scheduler(&history);
-    let _ = FaasExecutor::aws()
-        .run(
-            RunRequest::new(&run, &runtimes, &mut s)
-                .with_faults(faults, recovery)
-                .with_recorder(&mut analytic_rec),
-        )
+    let _ = FaasExecutor::new(config)
+        .run(RunRequest::new(&run, &runtimes, &mut s).with_recorder(&mut analytic_rec))
         .into_outcome();
 
     let mut des_rec = MemoryRecorder::new();
     let mut s = scheduler(&history);
-    let _ = DesFaasExecutor::aws()
-        .run(
-            RunRequest::new(&run, &runtimes, &mut s)
-                .with_faults(faults, recovery)
-                .with_recorder(&mut des_rec),
-        )
+    let _ = DesFaasExecutor::new(config)
+        .run(RunRequest::new(&run, &runtimes, &mut s).with_recorder(&mut des_rec))
         .into_outcome();
 
     assert_eq!(export::to_jsonl(&analytic_rec), export::to_jsonl(&des_rec));
@@ -195,17 +190,19 @@ fn a_disabled_recorder_is_never_called_past_enabled() {
     let (run, runtimes, history) = setup(10);
     let mut samples = Vec::new();
     for fault_rate in [0.0, 0.08] {
-        let faults = FaultConfig::uniform(fault_rate).with_seed(5);
-        let executors: [&mut dyn Executor; 2] =
-            [&mut FaasExecutor::aws(), &mut DesFaasExecutor::aws()];
+        let config = FaasConfig {
+            faults: FaultConfig::uniform(fault_rate).with_seed(5),
+            recovery: RecoveryPolicy::speculative(),
+            ..FaasConfig::default()
+        };
+        let executors: [&mut dyn Executor; 2] = [
+            &mut FaasExecutor::new(config),
+            &mut DesFaasExecutor::new(config),
+        ];
         for executor in executors {
             let mut s = scheduler(&history);
             let outcome = executor
-                .run(
-                    RunRequest::new(&run, &runtimes, &mut s)
-                        .with_faults(faults, RecoveryPolicy::speculative())
-                        .with_recorder(&mut DisabledSpy),
-                )
+                .run(RunRequest::new(&run, &runtimes, &mut s).with_recorder(&mut DisabledSpy))
                 .into_outcome();
             assert_eq!(outcome.faults.retried_components > 0, fault_rate > 0.0);
             samples.push(ServiceSample::from_outcome(&outcome));

@@ -80,26 +80,28 @@ fn ccl_run(executor: &mut dyn Executor) -> (RunOutcome, MemoryRecorder) {
     let mut scheduler = DayDreamScheduler::aws(&history, SeedStream::new(9));
     let mut rec = MemoryRecorder::new();
     let outcome = executor
-        .run(
-            RunRequest::new(&run, &runtimes, &mut scheduler)
-                .with_faults(
-                    FaultConfig::uniform(0.08).with_seed(5),
-                    // A watchdog short enough that some attempts time out.
-                    RecoveryPolicy {
-                        timeout_secs: 8.0,
-                        ..RecoveryPolicy::speculative()
-                    },
-                )
-                .with_recorder(&mut rec),
-        )
+        .run(RunRequest::new(&run, &runtimes, &mut scheduler).with_recorder(&mut rec))
         .into_outcome();
     (outcome, rec)
 }
 
+/// The faulted platform configuration of [`ccl_run`].
+fn faulted() -> FaasConfig {
+    FaasConfig {
+        faults: FaultConfig::uniform(0.08).with_seed(5),
+        // A watchdog short enough that some attempts time out.
+        recovery: RecoveryPolicy {
+            timeout_secs: 8.0,
+            ..RecoveryPolicy::speculative()
+        },
+        ..FaasConfig::default()
+    }
+}
+
 #[test]
 fn faulted_ccl_exports_match_golden_on_both_executors() {
-    let (_, analytic) = ccl_run(&mut FaasExecutor::aws());
-    let (_, des) = ccl_run(&mut DesFaasExecutor::aws());
+    let (_, analytic) = ccl_run(&mut FaasExecutor::new(faulted()));
+    let (_, des) = ccl_run(&mut DesFaasExecutor::new(faulted()));
     assert_eq!(
         renderings(&analytic),
         renderings(&des),

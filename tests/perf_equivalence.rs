@@ -131,15 +131,18 @@ fn faulty_run(
     let history = history_for(&gen);
     let mut sched = DayDreamScheduler::aws(&history, SeedStream::new(41));
     let mut rec = MemoryRecorder::new();
-    let faults = FaultConfig::uniform(0.08).with_seed(13);
+    let config = FaasConfig {
+        faults: FaultConfig::uniform(0.08).with_seed(13),
+        recovery: RecoveryPolicy::default(),
+        ..FaasConfig::default()
+    };
     let req = RunRequest::new(&run, &runtimes, &mut sched)
         .traced()
-        .with_faults(faults, RecoveryPolicy::default())
         .with_recorder(&mut rec);
     let report = if des {
-        DesFaasExecutor::new(FaasConfig::default()).run(req)
+        DesFaasExecutor::new(config).run(req)
     } else {
-        FaasExecutor::new(FaasConfig::default()).run(req)
+        FaasExecutor::new(config).run(req)
     };
     let (outcome, trace) = report.into_traced();
     (
